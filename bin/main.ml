@@ -646,7 +646,7 @@ let serve_cmd =
       if not as_router then
         if Fault.Plan.active plan then Fault.Inject.arm plan
         else Fault.Inject.disarm ();
-      match Serve.Server.parse_address socket with
+      match Serve.Frontend.parse_address socket with
       | Error m ->
         Printf.eprintf "bad --socket: %s\n" m;
         1
@@ -666,92 +666,76 @@ let serve_cmd =
         | Ok lines ->
           let all_lines = lines @ instances in
           if as_router then begin
-            match address with
-            | Serve.Server.Tcp _ ->
-              prerr_endline "--shards requires a Unix-socket --socket";
+            match Serve.Corpus.manifest_ids all_lines with
+            | [] ->
+              prerr_endline "no instances: pass --manifest and/or --instance";
               1
-            | Serve.Server.Unix_path socket_path -> (
-              match Serve.Corpus.manifest_ids all_lines with
-              | [] ->
-                prerr_endline "no instances: pass --manifest and/or --instance";
-                1
-              | manifest_ids ->
-                let teardown = setup_obs ~metrics ~trace in
-                let shard_argv k =
-                  Array.of_list
-                    ([
-                       Sys.executable_name;
-                       "serve";
-                       "--socket";
-                       Serve.Shard.socket_path socket_path k;
-                       "--backend";
-                       Sim.Backend.to_string backend;
-                       "--queue-max";
-                       string_of_int queue_max;
-                       "--read-timeout";
-                       Printf.sprintf "%g" read_timeout;
-                       "--batch-window-ms";
-                       Printf.sprintf "%g" window_ms;
-                       "--cache-rows";
-                       string_of_int cache_rows;
-                       "--seed";
-                       string_of_int seed;
-                       "--shards";
-                       string_of_int shards;
-                       "--shard-index";
-                       string_of_int k;
-                     ]
-                    @ (match manifest with
-                      | Some p -> [ "--manifest"; p ]
-                      | None -> [])
-                    @ List.concat_map (fun s -> [ "--instance"; s ]) instances
-                    @ (match jobs with
-                      | Some j -> [ "--jobs"; string_of_int j ]
-                      | None -> [])
-                    @ (match store_dir with
-                      | Some d -> [ "--store"; d ]
-                      | None -> [])
-                    @ (match report with
-                      | Some r -> [ "--report"; Serve.Shard.ledger_path r k ]
-                      | None -> [])
-                    @
-                    match fault_spec with
-                    | Some f -> [ "--fault-spec"; f ]
+            | manifest_ids ->
+              let teardown = setup_obs ~metrics ~trace in
+              let shard_argv k =
+                Array.of_list
+                  ([
+                     Sys.executable_name;
+                     "serve";
+                     "--socket";
+                     Serve.Shard.socket_path socket k;
+                     "--backend";
+                     Sim.Backend.to_string backend;
+                     "--queue-max";
+                     string_of_int queue_max;
+                     "--read-timeout";
+                     Printf.sprintf "%g" read_timeout;
+                     "--batch-window-ms";
+                     Printf.sprintf "%g" window_ms;
+                     "--cache-rows";
+                     string_of_int cache_rows;
+                     "--seed";
+                     string_of_int seed;
+                     "--shards";
+                     string_of_int shards;
+                     "--shard-index";
+                     string_of_int k;
+                   ]
+                  @ (match manifest with
+                    | Some p -> [ "--manifest"; p ]
                     | None -> [])
-                in
-                let config =
-                  {
-                    Serve.Router.address;
-                    shards;
-                    shard_argv;
-                    shard_socket =
-                      (fun k -> Serve.Shard.socket_path socket_path k);
-                    read_timeout_s = read_timeout;
-                    shard_call_timeout_s = 30.;
-                    max_conns = 64;
-                    queue_max;
-                    ledger_path = report;
-                    install_signals = true;
-                    announce = Some stdout;
-                    manifest_ids;
-                    backend;
-                    shard_ready_timeout_s = 30.;
-                    (* Generous: the chaos soak's shard-kill fault can
-                       land several early-uptime kills in a row, each of
-                       which counts against this budget. *)
-                    max_respawns = 20;
-                    fault = plan;
-                  }
-                in
-                let code =
-                  match Serve.Router.run ~config () with
-                  | Ok () -> 0
-                  | Error m ->
-                    prerr_endline m;
-                    1
-                in
-                teardown ();
-                code)
+                  @ List.concat_map (fun s -> [ "--instance"; s ]) instances
+                  @ (match jobs with
+                    | Some j -> [ "--jobs"; string_of_int j ]
+                    | None -> [])
+                  @ (match store_dir with
+                    | Some d -> [ "--store"; d ]
+                    | None -> [])
+                  @ (match report with
+                    | Some r -> [ "--report"; Serve.Shard.ledger_path r k ]
+                    | None -> [])
+                  @
+                  match fault_spec with
+                  | Some f -> [ "--fault-spec"; f ]
+                  | None -> [])
+              in
+              let config =
+                {
+                  Serve.Router.address;
+                  shards;
+                  shard_argv;
+                  read_timeout_s = read_timeout;
+                  queue_max;
+                  ledger_path = report;
+                  manifest_ids;
+                  backend;
+                  fault = plan;
+                }
+              in
+              let code =
+                match Serve.Router.run config with
+                | Ok () -> 0
+                | Error m ->
+                  prerr_endline m;
+                  1
+              in
+              teardown ();
+              code
           end
           else begin
             let shard =
@@ -801,11 +785,8 @@ let serve_cmd =
                   {
                     Serve.Server.address;
                     read_timeout_s = read_timeout;
-                    max_conns = 64;
                     engine;
                     ledger_path = report;
-                    install_signals = true;
-                    announce = (if is_shard then None else Some stdout);
                   }
                 in
                 Serve.Server.run ~config corpus;
@@ -896,7 +877,7 @@ let query_cmd =
     | w :: _ -> Error (Printf.sprintf "unknown command %S" w)
   in
   let run socket script words timeout =
-    match Serve.Server.parse_address socket with
+    match Serve.Frontend.parse_address socket with
     | Error m ->
       Printf.eprintf "bad --socket: %s\n" m;
       1

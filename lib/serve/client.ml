@@ -6,19 +6,10 @@
 type t = { fd : Unix.file_descr; mutable closed : bool }
 
 let connect ?(timeout_s = 10.) address =
-  let domain, addr =
-    match (address : Server.address) with
-    | Server.Unix_path p -> (Unix.PF_UNIX, Unix.ADDR_UNIX p)
-    | Server.Tcp (host, port) ->
-      let a =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      (Unix.PF_INET, Unix.ADDR_INET (a, port))
-  in
+  let addr = Frontend.sockaddr address in
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec attempt () =
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
     | () -> Ok { fd; closed = false }
     | exception Unix.Unix_error (e, _, _) ->

@@ -5,7 +5,7 @@
 type t
 
 val connect :
-  ?timeout_s:float -> Server.address -> (t, string) result
+  ?timeout_s:float -> Frontend.address -> (t, string) result
 (** Retries inside the window (default 10 s) while the server is still
     binding. *)
 

@@ -78,7 +78,6 @@ type ticket = {
   tm : Mutex.t;
   tc : Condition.t;
   mutable result : reply option;
-  submitted : float;
 }
 
 type job = {
@@ -161,7 +160,6 @@ type t = {
   c_evictions : Obs.Metrics.counter;
   c_sweeps : Obs.Metrics.counter;
   g_depth : Obs.Metrics.gauge;
-  h_latency : Obs.Metrics.histogram;
 }
 
 let create ?(config = default_config) corpus =
@@ -196,7 +194,6 @@ let create ?(config = default_config) corpus =
     c_evictions = Obs.Metrics.counter "serve.cache_evictions";
     c_sweeps = Obs.Metrics.counter "serve.sweeps";
     g_depth = Obs.Metrics.gauge "serve.queue_depth";
-    h_latency = Obs.Metrics.histogram "serve.latency_ms";
   }
 
 let corpus t = t.corpus
@@ -221,7 +218,7 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* Tickets *)
 
-let resolve t ticket reply =
+let resolve ticket reply =
   Mutex.lock ticket.tm;
   (* First writer wins; the dispatcher is the only writer so this is
      belt and braces. *)
@@ -229,9 +226,7 @@ let resolve t ticket reply =
   | None -> ticket.result <- Some reply
   | Some _ -> ());
   Condition.signal ticket.tc;
-  Mutex.unlock ticket.tm;
-  Obs.Metrics.observe t.h_latency
-    ((Unix.gettimeofday () -. ticket.submitted) *. 1000.)
+  Mutex.unlock ticket.tm
 
 let await ticket =
   Mutex.lock ticket.tm;
@@ -272,7 +267,6 @@ let submit t ~instance ~source ?deadline_s () =
           tm = Mutex.create ();
           tc = Condition.create ();
           result = None;
-          submitted = now;
         }
       in
       let job =
@@ -488,7 +482,7 @@ let process_pending t =
     List.iter
       (fun j ->
         incr expired_total;
-        resolve t j.j_ticket (Err (Proto.Deadline_exceeded, "expired in queue")))
+        resolve j.j_ticket (Err (Proto.Deadline_exceeded, "expired in queue")))
       expired;
     if live <> [] then begin
       (* Cache, then store, then compute. *)
@@ -503,7 +497,7 @@ let process_pending t =
                hot rows in a skewed mix outlive one-shot scans. *)
             lru_unlink node;
             lru_push_front t.cache_lru node;
-            resolve t j.j_ticket (Row node.lru_row)
+            resolve j.j_ticket (Row node.lru_row)
           | None -> misses := j :: !misses)
         live;
       let insert_cache key row =
@@ -536,7 +530,7 @@ let process_pending t =
           | Some row ->
             incr store_hits;
             insert_cache (j.j_instance, j.j_source) row;
-            resolve t j.j_ticket (Row row)
+            resolve j.j_ticket (Row row)
           | None -> after_store := j :: !after_store)
         misses;
       let pending = List.rev !after_store in
@@ -571,14 +565,14 @@ let process_pending t =
               | Some row ->
                 insert_cache (id, src) row;
                 store_put t (List.hd js) row;
-                List.iter (fun j -> resolve t j.j_ticket (Row row)) js
+                List.iter (fun j -> resolve j.j_ticket (Row row)) js
               | None ->
                 (* Skipped by cooperative cancellation: every waiter
                    had expired when the sweep was due. *)
                 List.iter
                   (fun j ->
                     incr expired_total;
-                    resolve t j.j_ticket
+                    resolve j.j_ticket
                       (Err (Proto.Deadline_exceeded, "expired before sweep")))
                   js)
             sources
@@ -587,7 +581,7 @@ let process_pending t =
           Array.iter
             (fun src ->
               List.iter
-                (fun j -> resolve t j.j_ticket (Err (Proto.Internal, msg)))
+                (fun j -> resolve j.j_ticket (Err (Proto.Internal, msg)))
                 !(Hashtbl.find waiters src))
             sources
       end;
@@ -610,7 +604,7 @@ let process_pending t =
       with e ->
         let msg = Printexc.to_string e in
         List.iter
-          (fun j -> resolve t j.j_ticket (Err (Proto.Internal, msg)))
+          (fun j -> resolve j.j_ticket (Err (Proto.Internal, msg)))
           (List.rev !(Hashtbl.find by_instance id)))
     (List.rev !order);
   if !expired_total > 0 then begin

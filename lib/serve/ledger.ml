@@ -1,6 +1,6 @@
-(* The `ephemeral-serve-ledger` renderer, shared by the single-process
-   server and the sharded router (which merges per-shard tallies into
-   one ledger at drain).
+(* The `ephemeral-serve-ledger` renderer and the STATS reply text,
+   shared by the single-process server and the sharded router (which
+   merges per-shard tallies into one ledger at drain).
 
    The ledger splits into two sections on purpose:
 
@@ -14,22 +14,6 @@
    Hand-rolled line-based JSON, same dialect as the run ledger: stable
    key order, one key per line, so downstream checks can grep
    ["queue_peak":] without a JSON parser. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let json_float f =
   if Float.is_nan f || Float.is_integer f then
@@ -52,8 +36,26 @@ type volatile = {
   shards : int option;  (* None = single-process serve *)
 }
 
-let of_stats (s : Engine.stats) ~p50_ms ~p99_ms ~qps ~wall_s ~shards =
+let zero =
   {
+    queries = 0;
+    shed = 0;
+    expired = 0;
+    cache_hits = 0;
+    store_hits = 0;
+    sweeps = 0;
+    evictions = 0;
+    queue_peak = 0;
+    p50_ms = 0.;
+    p99_ms = 0.;
+    qps = 0.;
+    wall_s = 0.;
+    shards = None;
+  }
+
+let of_stats (s : Engine.stats) =
+  {
+    zero with
     queries = s.Engine.queries;
     shed = s.Engine.shed;
     expired = s.Engine.expired;
@@ -62,22 +64,53 @@ let of_stats (s : Engine.stats) ~p50_ms ~p99_ms ~qps ~wall_s ~shards =
     sweeps = s.Engine.sweeps;
     evictions = s.Engine.evictions;
     queue_peak = s.Engine.queue_peak;
-    p50_ms;
-    p99_ms;
-    qps;
-    wall_s;
-    shards;
   }
 
-let merge_volatile vs ~wall_s ~shards =
+(* STATS reply text: the tallies as one [k=v] line.  The router sums
+   the shards' lines, so this module both renders and parses it. *)
+let render_stats_text v =
+  Printf.sprintf
+    "queries=%d shed=%d expired=%d cache_hits=%d store_hits=%d sweeps=%d \
+     evictions=%d queue_peak=%d"
+    v.queries v.shed v.expired v.cache_hits v.store_hits v.sweeps v.evictions
+    v.queue_peak
+
+let parse_stats_text s =
+  let kv = Hashtbl.create 8 in
+  String.split_on_char ' ' s
+  |> List.iter (fun field ->
+         match String.index_opt field '=' with
+         | None -> ()
+         | Some i -> (
+           let k = String.sub field 0 i in
+           let v = String.sub field (i + 1) (String.length field - i - 1) in
+           match int_of_string_opt v with
+           | Some n -> Hashtbl.replace kv k n
+           | None -> ()));
+  let get k = Option.value (Hashtbl.find_opt kv k) ~default:0 in
+  if Hashtbl.length kv = 0 then None
+  else
+    Some
+      {
+        zero with
+        queries = get "queries";
+        shed = get "shed";
+        expired = get "expired";
+        cache_hits = get "cache_hits";
+        store_hits = get "store_hits";
+        sweeps = get "sweeps";
+        evictions = get "evictions";
+        queue_peak = get "queue_peak";
+      }
+
+let merge_volatile vs ~shards =
   (* Tallies sum across shards; the queue bound held iff it held in
-     every shard, so the merged peak is the max.  Latency percentiles
-     do not compose from per-shard percentiles — the router reports
-     its own end-to-end histogram instead, so they are zeroed here and
-     overridden by the caller when it has one. *)
+     every shard, so the merged peak is the max.  Timings do not
+     compose from per-shard values — the front-end fills in its own. *)
   List.fold_left
     (fun acc v ->
       {
+        acc with
         queries = acc.queries + v.queries;
         shed = acc.shed + v.shed;
         expired = acc.expired + v.expired;
@@ -86,36 +119,18 @@ let merge_volatile vs ~wall_s ~shards =
         sweeps = acc.sweeps + v.sweeps;
         evictions = acc.evictions + v.evictions;
         queue_peak = max acc.queue_peak v.queue_peak;
-        p50_ms = 0.;
-        p99_ms = 0.;
-        qps = (if wall_s > 0. then float_of_int (acc.queries + v.queries) /. wall_s else 0.);
-        wall_s;
-        shards = Some shards;
       })
-    {
-      queries = 0;
-      shed = 0;
-      expired = 0;
-      cache_hits = 0;
-      store_hits = 0;
-      sweeps = 0;
-      evictions = 0;
-      queue_peak = 0;
-      p50_ms = 0.;
-      p99_ms = 0.;
-      qps = 0.;
-      wall_s;
-      shards = Some shards;
-    }
+    { zero with shards = Some shards }
     vs
 
 let render ~backend ~queue_max ~instances (v : volatile) =
+  let esc = Obs.Sink.json_escape in
   let rows =
     instances
     |> List.map (fun (id, status, detail) ->
            Printf.sprintf
              {|{"id": "%s", "status": "%s", "detail": "%s"}|}
-             (json_escape id) (json_escape status) (json_escape detail))
+             (esc id) (esc status) (esc detail))
     |> String.concat ", "
   in
   let hit_rate =
@@ -127,7 +142,7 @@ let render ~backend ~queue_max ~instances (v : volatile) =
        "{";
        {|  "schema": "ephemeral-serve-ledger/v1",|};
        "  \"deterministic\": {";
-       Printf.sprintf {|    "backend": "%s",|} (json_escape backend);
+       Printf.sprintf {|    "backend": "%s",|} (esc backend);
        Printf.sprintf {|    "queue_max": %d,|} queue_max;
        Printf.sprintf {|    "instances": [%s]|} rows;
        "  },";

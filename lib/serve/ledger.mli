@@ -3,14 +3,13 @@
     The ledger has a [deterministic] section — a pure function of the
     corpus manifest, backend, and queue bound, byte-identical run to
     run and {e at any shard count} — and a [volatile] section of
-    traffic tallies and timings.  The single-process {!Server} renders
-    one directly from {!Engine.stats}; the sharded {!Router} merges
-    per-shard tallies with {!merge_volatile} and renders the same
-    shape, so every downstream check (schema tag, [queue_peak] bound,
-    CI deterministic-section diff) is shard-count-agnostic. *)
-
-val json_escape : string -> string
-val json_float : float -> string
+    traffic tallies and timings.  {!Frontend} renders it at drain from
+    its backend's final tallies: {!Engine.stats} for the single-process
+    {!Server}, per-shard tallies merged with {!merge_volatile} for the
+    sharded {!Router} — the same shape either way, so every downstream
+    check (schema tag, [queue_peak] bound, CI deterministic-section
+    diff) is shard-count-agnostic.  This module also owns the STATS
+    reply text. *)
 
 type volatile = {
   queries : int;
@@ -28,20 +27,21 @@ type volatile = {
   shards : int option;  (** [None] = single-process serve *)
 }
 
-val of_stats :
-  Engine.stats ->
-  p50_ms:float ->
-  p99_ms:float ->
-  qps:float ->
-  wall_s:float ->
-  shards:int option ->
-  volatile
+val of_stats : Engine.stats -> volatile
+(** A single engine's tallies; timings zero, [shards = None]. *)
 
-val merge_volatile : volatile list -> wall_s:float -> shards:int -> volatile
-(** Sum tallies, [max] the queue peaks, recompute qps over the merged
-    wall clock.  Percentiles are zeroed — per-shard percentiles do not
-    compose; the caller overrides them from its own end-to-end
-    histogram if it has one. *)
+val render_stats_text : volatile -> string
+(** The STATS reply text: the tallies as one ["queries=12 shed=0 ..."]
+    line (timings and [shards] are not part of it). *)
+
+val parse_stats_text : string -> volatile option
+(** Inverse of {!render_stats_text} on the tallies; [None] when no
+    [k=v] field with an integer value is present. *)
+
+val merge_volatile : volatile list -> shards:int -> volatile
+(** Sum tallies, [max] the queue peaks, record the shard count.
+    Timings are zeroed — per-shard values do not compose; the
+    front-end fills in its own end-to-end figures. *)
 
 val render :
   backend:string ->

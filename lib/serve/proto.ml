@@ -205,12 +205,12 @@ let decode_request data =
   | exception Short ->
     Stdlib.Error (Parse_error, "truncated request payload")
 
-(* Router support: the routing key (the instance-id operand) read from
-   a query-op payload's fixed prefix, without decoding the rest.
+(* Front-end support: the routing key (the instance-id operand) read
+   from a query-op payload's fixed prefix, without decoding the rest.
    Control ops, unknown opcodes, and payloads too short to carry the
-   id answer [None]; the router handles those itself or forwards them
-   opaque, so a malformed frame still gets the owning decoder's exact
-   error bytes. *)
+   id answer [None]; the front-end decodes those itself, so a
+   malformed frame gets the decoder's exact error bytes whatever the
+   backend. *)
 let peek_instance data =
   let len = String.length data in
   if len < 3 then None

@@ -60,10 +60,10 @@ val decode_request : string -> (request, error_code * string) result
 
 val peek_instance : string -> string option
 (** The instance-id operand of a query-op request payload, read from
-    the fixed prefix alone — the sharded router's routing key.  [None]
-    for control ops, unknown opcodes, and payloads too short to carry
-    the id (which the router forwards opaque so the owning decoder
-    produces its exact error bytes). *)
+    the fixed prefix alone — the serving front-end's routing key.
+    [None] for control ops, unknown opcodes, and payloads too short to
+    carry the id (which the front-end decodes itself, answering the
+    decoder's exact error bytes). *)
 
 val encode_response : response -> string
 

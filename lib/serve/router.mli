@@ -1,14 +1,13 @@
-(** The sharded [ephemeral serve --shards N] parent process: a frame
-    router in front of N supervised shard workers.
+(** The sharded [ephemeral serve --shards N] parent process: the
+    {!Frontend} over a sharded backend of N supervised shard workers
+    (DESIGN.md §15).
 
-    Query frames are routed by {!Proto.peek_instance} +
-    {!Corpus.shard_of} and their request/reply bytes cross the router
-    untouched, so reply byte-identity at any shard count is
-    structural.  Control ops are answered from router state: PING
-    locally, HEALTH/READY/LIST from a startup snapshot of every
-    shard's LIST merged back into manifest order, STATS by fan-out and
-    sum.  Unroutable payloads forward opaque to shard 0, whose decoder
-    produces the single-process error bytes.
+    Query frames are routed by the instance id the front-end peeked,
+    through {!Corpus.shard_of}, and their request/reply bytes cross
+    the router untouched, so reply byte-identity at any shard count is
+    structural.  LIST rows (and so HEALTH/READY) come from a startup
+    snapshot of every shard's LIST merged back into manifest order;
+    STATS fans out to the shards and sums.
 
     A supervisor thread reaps crashed shards and respawns them with
     {!Fault.Retry.backoff_delay} under a bounded budget; requests to a
@@ -21,49 +20,38 @@
     shard count. *)
 
 type config = {
-  address : Server.address;
+  address : Frontend.address;
+      (** a Unix socket path; shard [k] listens on
+          {!Shard.socket_path}[ address k] *)
   shards : int;
   shard_argv : int -> string array;
       (** argv to (re)spawn shard [k] — the running binary with
           [--shard-index k] *)
-  shard_socket : int -> string;
   read_timeout_s : float;
-  shard_call_timeout_s : float;
-      (** bound on waiting for a shard's reply to one forwarded frame;
-          expiry answers the client [Unavailable] and drops the shard
-          link *)
-  max_conns : int;
   queue_max : int;  (** the shards' admission bound, for the ledger *)
   ledger_path : string option;
-  install_signals : bool;
-  announce : out_channel option;
   manifest_ids : string list;
       (** {!Corpus.manifest_ids} of the full manifest, for the LIST
           merge *)
   backend : Sim.Backend.t;
-  shard_ready_timeout_s : float;
-  max_respawns : int;
   fault : Fault.Plan.t;
 }
 
-val default_config : config
-
-val run : ?config:config -> unit -> (unit, string) result
+val run : config -> (unit, string) result
 (** Spawn and await the shards, serve until the graceful-shutdown
-    signal, drain, and return.  [Error] only for startup failures
-    (a shard that never became ready, an unbindable socket) — already
-    spawned shards are terminated before returning.
+    signal, drain, and return.  [Error] only for startup failures (a
+    TCP address, a shard that never became ready, an unbindable
+    socket) — already spawned shards are terminated before returning.
     @raise Invalid_argument if [shards < 1]. *)
+
+val parse_stats_text : string -> Ledger.volatile option
+(** {!Ledger.parse_stats_text}, kept under this name for existing
+    callers. *)
 
 (**/**)
 
 (* Exposed for tests. *)
-val parse_stats_text : string -> Ledger.volatile option
-val render_stats_text : Ledger.volatile -> string
-
 val merge_list_rows :
   manifest_ids:string list ->
   (string * string * string) list list ->
   (string * string * string) list
-
-val snapshot_health : (string * string * string) list -> string

@@ -1,132 +1,41 @@
-(* The `ephemeral serve` process: accept loop, per-connection reader
-   threads, the {!Engine} behind them, and the graceful-drain state
-   machine.
-
-   Listening address: a filesystem path (Unix domain socket) or
-   ["tcp:HOST:PORT"].  Each accepted connection gets one systhread
-   that reads frames under the per-frame deadline (slow-loris bound),
-   decodes, submits to the engine, and writes the reply; connection
-   count is bounded ([max_conns] — an over-limit accept is answered
-   with one [Resource_exhausted] frame and closed, never queued).
-
-   Drain state machine (first SIGTERM/SIGINT via
-   {!Fault.Shutdown.set_graceful}, or {!initiate_drain}):
-
-     accepting ──signal──▶ draining ──flush──▶ drained
-
-   - the signal callback only flips the [draining] atomic and closes
-     the listening socket (handler context: no locks) — that pops the
-     accept loop;
-   - the accept thread then runs the drain: engine drain (every
-     admitted job answered), shutdown of surviving connection sockets
-     (readers see EOF), join of connection threads, ledger publish
-     via {!Store.Fsio.write_atomic} (atomic: a crashed drain leaves
-     the previous ledger or none, never a torn one), socket unlink;
-   - {!run} returns normally, so the process exits 0 — the clean-drain
-     contract the chaos soak asserts.  A second signal takes
-     {!Fault.Shutdown}'s immediate path (exit 130/143), the escape
-     hatch against a wedged drain.
+(* The single-process `ephemeral serve`: the {!Frontend} over a local
+   backend — one {!Engine} answering every query op in this process.
 
    Degraded mode: a corpus with failed instances still serves — LIST
    shows them as failed, queries against them answer [Unavailable],
    HEALTH says "degraded".  Only an entirely-unhealthy corpus makes
    READY answer [Unavailable]. *)
 
-type address = Unix_path of string | Tcp of string * int
-
-let parse_address s =
-  match String.index_opt s ':' with
-  | Some _ when String.length s > 4 && String.sub s 0 4 = "tcp:" -> (
-    let rest = String.sub s 4 (String.length s - 4) in
-    match String.rindex_opt rest ':' with
-    | None -> Error "tcp address must be tcp:HOST:PORT"
-    | Some i -> (
-      let host = String.sub rest 0 i in
-      let port = String.sub rest (i + 1) (String.length rest - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 -> Ok (Tcp (host, p))
-      | _ -> Error (Printf.sprintf "bad port %S" port)))
-  | _ -> Ok (Unix_path s)
-
-let address_to_string = function
-  | Unix_path p -> p
-  | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
+type address = Frontend.address = Unix_path of string | Tcp of string * int
 
 type config = {
   address : address;
   read_timeout_s : float;  (** per-frame deadline on connection reads *)
-  max_conns : int;
   engine : Engine.config;
   ledger_path : string option;  (** published atomically on drain *)
-  install_signals : bool;
-      (** arm {!Fault.Shutdown.set_graceful}; off in in-process tests *)
-  announce : out_channel option;
-      (** where to print the READY line once listening *)
 }
 
 let default_config =
   {
     address = Unix_path "ephemeral.sock";
     read_timeout_s = 10.;
-    max_conns = 64;
     engine = Engine.default_config;
     ledger_path = None;
-    install_signals = true;
-    announce = Some stdout;
   }
 
 (* ------------------------------------------------------------------ *)
-
-type conn = { c_id : int; c_fd : Unix.file_descr }
-
-type t = {
-  cfg : config;
-  engine : Engine.t;
-  listen_fd : Unix.file_descr;
-  draining : bool Atomic.t;
-  listen_closed : bool Atomic.t;
-  cm : Mutex.t;
-  mutable conns : conn list;
-  mutable conn_threads : Thread.t list;
-  mutable next_conn : int;
-  started_at : float;
-}
-
-let close_listener t =
-  if not (Atomic.exchange t.listen_closed true) then
-    try Unix.close t.listen_fd with _ -> ()
-
-(* Wake a thread blocked in accept(2).  Closing the listener does not
-   reliably unblock accept on Linux, and the signal that initiated the
-   drain may have been delivered to a different thread — so connect to
-   ourselves: accept returns the dummy connection, the loop re-checks
-   [draining] and exits.  Failure is fine (nobody was blocked). *)
-let wake_listener t =
-  try
-    let domain, addr =
-      match t.cfg.address with
-      | Unix_path p -> (Unix.PF_UNIX, Unix.ADDR_UNIX p)
-      | Tcp (_, port) ->
-        (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-    in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd addr with _ -> ());
-    Unix.close fd
-  with _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Request handling *)
+(* Query ops: every one is a readout of one (instance, source) row *)
 
 let max_vector = (Proto.max_frame - 16) / 4
 
-let handle_query t (q : Proto.query) readout =
+let handle_query engine (q : Proto.query) readout =
   let deadline_s =
     if q.Proto.deadline_ms > 0 then
       Some (float_of_int q.Proto.deadline_ms /. 1000.)
     else None
   in
   match
-    Engine.submit t.engine ~instance:q.Proto.instance ~source:q.Proto.source
+    Engine.submit engine ~instance:q.Proto.instance ~source:q.Proto.source
       ?deadline_s ()
   with
   | Engine.Rejected (code, msg) -> Proto.Error (code, msg)
@@ -135,32 +44,11 @@ let handle_query t (q : Proto.query) readout =
     | Engine.Err (code, msg) -> Proto.Error (code, msg)
     | Engine.Row row -> readout row)
 
-let handle_request t req =
-  match (req : Proto.request) with
-  | Proto.Ping -> Proto.Ok_empty
-  | Proto.Health ->
-    let corpus = Engine.corpus t.engine in
-    Proto.Ok_text
-      (if not (Corpus.healthy corpus) then "unhealthy"
-       else if Corpus.degraded corpus then "degraded"
-       else "ok")
-  | Proto.Ready ->
-    if Atomic.get t.draining then
-      Proto.Error (Proto.Shutting_down, "draining")
-    else if Corpus.healthy (Engine.corpus t.engine) then Proto.Ok_text "ready"
-    else Proto.Error (Proto.Unavailable, "no healthy instances")
-  | Proto.List -> Proto.Ok_list (Corpus.list_rows (Engine.corpus t.engine))
-  | Proto.Stats ->
-    let s = Engine.stats t.engine in
-    Proto.Ok_text
-      (Printf.sprintf
-         "queries=%d shed=%d expired=%d cache_hits=%d store_hits=%d sweeps=%d \
-          evictions=%d queue_peak=%d"
-         s.Engine.queries s.Engine.shed s.Engine.expired s.Engine.cache_hits
-         s.Engine.store_hits s.Engine.sweeps s.Engine.evictions
-         s.Engine.queue_peak)
-  | Proto.Foremost q ->
-    handle_query t q (fun row ->
+let query engine payload =
+  match Proto.decode_request payload with
+  | Error (code, msg) -> Proto.Error (code, msg)
+  | Ok (Proto.Foremost q) ->
+    handle_query engine q (fun row ->
         if q.Proto.target < 0 || q.Proto.target >= Array.length row then
           Proto.Error
             ( Proto.Bad_arg,
@@ -170,283 +58,59 @@ let handle_request t req =
           Proto.Ok_value
             (if row.(q.Proto.target) = max_int then None
              else Some row.(q.Proto.target)))
-  | Proto.Arrivals q ->
-    handle_query t q (fun row ->
+  | Ok (Proto.Arrivals q) ->
+    handle_query engine q (fun row ->
         if Array.length row > max_vector then
           Proto.Error
             ( Proto.Too_large,
               Printf.sprintf "arrival vector of %d entries exceeds frame limit"
                 (Array.length row) )
         else Proto.Ok_vector row)
-  | Proto.Reach q ->
-    handle_query t q (fun row ->
+  | Ok (Proto.Reach q) ->
+    handle_query engine q (fun row ->
         let c = ref 0 in
         Array.iter (fun v -> if v <> max_int then incr c) row;
         Proto.Ok_count !c)
-  | Proto.Ecc q ->
-    handle_query t q (fun row ->
+  | Ok (Proto.Ecc q) ->
+    handle_query engine q (fun row ->
         let m = ref 0 and unreachable = ref false in
         Array.iter
           (fun v -> if v = max_int then unreachable := true else m := max !m v)
           row;
         Proto.Ok_value (if !unreachable then None else Some !m))
-
-(* ------------------------------------------------------------------ *)
-(* Connections *)
-
-let reply fd response = Proto.write_frame fd (Proto.encode_response response)
-
-let conn_loop t conn =
-  let rec loop () =
-    match Proto.read_frame ~deadline_s:t.cfg.read_timeout_s conn.c_fd with
-    | Proto.Eof -> ()
-    | Proto.Timeout ->
-      (* Slow loris: the peer stalled mid-frame.  The stream is not at
-         a frame boundary, so the only safe move is to close. *)
-      ()
-    | Proto.Oversized k ->
-      (* Header read, payload not: also out of sync — answer and
-         close. *)
-      (try
-         reply conn.c_fd
-           (Proto.Error
-              ( Proto.Too_large,
-                Printf.sprintf "frame of %d bytes exceeds limit %d" k
-                  Proto.max_frame ))
-       with _ -> ())
-    | Proto.Frame payload ->
-      let response =
-        match Proto.decode_request payload with
-        | Error (code, msg) -> Proto.Error (code, msg)
-        | Ok req -> (
-          try handle_request t req
-          with e -> Proto.Error (Proto.Internal, Printexc.to_string e))
-      in
-      reply conn.c_fd response;
-      loop ()
-  in
-  (try loop () with _ -> ());
-  (try Unix.close conn.c_fd with _ -> ());
-  Mutex.lock t.cm;
-  t.conns <- List.filter (fun c -> c.c_id <> conn.c_id) t.conns;
-  Mutex.unlock t.cm
-
-let spawn_conn t fd =
-  Mutex.lock t.cm;
-  let over = List.length t.conns >= t.cfg.max_conns in
-  let conn = { c_id = t.next_conn; c_fd = fd } in
-  if not over then begin
-    t.next_conn <- t.next_conn + 1;
-    t.conns <- conn :: t.conns
-  end;
-  Mutex.unlock t.cm;
-  if over then begin
-    (* Bounded connection table: answer with one typed frame and
-       close; nothing about this connection is retained. *)
-    (try
-       reply fd
-         (Proto.Error (Proto.Resource_exhausted, "connection limit reached"))
-     with _ -> ());
-    try Unix.close fd with _ -> ()
-  end
-  else begin
-    let th = Thread.create (fun () -> conn_loop t conn) () in
-    Mutex.lock t.cm;
-    t.conn_threads <- th :: t.conn_threads;
-    Mutex.unlock t.cm
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Ledger *)
-
-let ledger_json t ~wall_s =
-  let s = Engine.stats t.engine in
-  let corpus = Engine.corpus t.engine in
-  let h = Obs.Metrics.histogram "serve.latency_ms" in
-  let observed = Obs.Metrics.observations h > 0 in
-  let p q = if observed then Obs.Metrics.percentile h q else 0. in
-  let qps =
-    if wall_s > 0. then float_of_int s.Engine.queries /. wall_s else 0.
-  in
-  Ledger.render
-    ~backend:(Sim.Backend.to_string (Corpus.backend corpus))
-    ~queue_max:t.cfg.engine.Engine.queue_max
-    ~instances:(Corpus.list_rows corpus)
-    (Ledger.of_stats s ~p50_ms:(p 0.5) ~p99_ms:(p 0.99) ~qps ~wall_s
-       ~shards:None)
+  | Ok (Proto.Ping | Proto.Health | Proto.Ready | Proto.List | Proto.Stats) ->
+    (* Unreachable: the front-end answers control ops itself. *)
+    Proto.Error (Proto.Internal, "control op reached query path")
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-let bind_listener address =
-  match address with
-  | Unix_path path ->
-    if Sys.file_exists path then Unix.unlink path;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Tcp (host, port) ->
-    let addr =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_of_string host
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (addr, port));
-    Unix.listen fd 64;
-    fd
-
-let drain t =
-  Atomic.set t.draining true;
-  close_listener t;
-  (* Flush every admitted job; tickets held by connection threads
-     resolve, so their pending writes complete. *)
-  Engine.drain t.engine;
-  (* Surviving connections are idle readers (or writers about to
-     finish): shut their sockets so reads see EOF.  shutdown, not
-     close — the thread owns the close, so the descriptor cannot be
-     recycled under it. *)
-  Mutex.lock t.cm;
-  let conns = t.conns and threads = t.conn_threads in
-  Mutex.unlock t.cm;
-  List.iter
-    (fun c -> try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with _ -> ())
-    conns;
-  List.iter (fun th -> try Thread.join th with _ -> ()) threads;
-  (* Publish the ledger last, atomically: it reflects the final
-     tallies, and a crash mid-drain leaves the previous file or none —
-     never a torn one. *)
-  let wall_s = Unix.gettimeofday () -. t.started_at in
-  (match t.cfg.ledger_path with
-  | None -> ()
-  | Some path -> (
-    try Store.Fsio.write_atomic path (ledger_json t ~wall_s) with _ -> ()));
-  match t.cfg.address with
-  | Unix_path path -> ( try Unix.unlink path with _ -> ())
-  | Tcp _ -> ()
-
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.draining then ()
-    else
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-        spawn_conn t fd;
-        loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-        (* Listener closed under us by the drain callback. *)
-        ()
-      | exception _ when Atomic.get t.draining -> ()
-  in
-  loop ()
-
-let run ?(config = default_config) corpus =
-  (* A client disconnecting mid-write must surface as EPIPE on the
-     write, not kill the process. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+(* Bound listener over a started engine: what both entry points serve. *)
+let local config corpus =
   let engine = Engine.create ~config:config.engine corpus in
-  let listen_fd = bind_listener config.address in
-  let t =
-    {
-      cfg = config;
-      engine;
-      listen_fd;
-      draining = Atomic.make false;
-      listen_closed = Atomic.make false;
-      cm = Mutex.create ();
-      conns = [];
-      conn_threads = [];
-      next_conn = 0;
-      started_at = Unix.gettimeofday ();
-    }
+  let tallies () = Ledger.of_stats (Engine.stats engine) in
+  let fe =
+    Frontend.create ~address:config.address
+      ~read_timeout_s:config.read_timeout_s ~ledger_path:config.ledger_path
+      {
+        Frontend.kind = Corpus.backend corpus;
+        queue_max = config.engine.Engine.queue_max;
+        rows = (fun () -> Corpus.list_rows corpus);
+        open_conn = ignore;
+        close_conn = ignore;
+        query =
+          (fun () payload _ -> Proto.encode_response (query engine payload));
+        stats = tallies;
+        (* Every admitted job is answered before connections are shut
+           down, so pending replies complete. *)
+        quiesce = (fun () -> Engine.drain engine);
+        final = tallies;
+      }
   in
   Engine.start engine;
-  if config.install_signals then begin
-    Fault.Shutdown.install ();
-    (* The callback only flips the atomic and pokes the accept thread
-       awake; the accept thread then runs the actual drain.  (OCaml
-       signal handlers run at safepoints as ordinary code — the
-       constraint is not taking locks the interrupted thread may
-       hold, and neither step does.) *)
-    Fault.Shutdown.set_graceful (fun _ ->
-        Atomic.set t.draining true;
-        wake_listener t)
-  end;
-  (match config.announce with
-  | Some oc ->
-    Printf.fprintf oc "READY %s\n" (address_to_string config.address);
-    flush oc
-  | None -> ());
-  accept_loop t;
-  drain t
+  fe
 
-(* In-process handle for tests: run the server on a background thread,
-   return a stopper that initiates the drain and joins. *)
+let run ?(config = default_config) corpus = Frontend.run (local config corpus)
+
 let run_background ?(config = default_config) corpus =
-  let stop_ref = ref (fun () -> ()) in
-  let started = Mutex.create () in
-  let started_c = Condition.create () in
-  let ready = ref false in
-  let failed = ref None in
-  let config = { config with announce = None; install_signals = false } in
-  let signal_started err =
-    Mutex.lock started;
-    failed := err;
-    ready := true;
-    Condition.signal started_c;
-    Mutex.unlock started
-  in
-  let setup () =
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let engine = Engine.create ~config:config.engine corpus in
-    let listen_fd = bind_listener config.address in
-    let t =
-      {
-        cfg = config;
-        engine;
-        listen_fd;
-        draining = Atomic.make false;
-        listen_closed = Atomic.make false;
-        cm = Mutex.create ();
-        conns = [];
-        conn_threads = [];
-        next_conn = 0;
-        started_at = Unix.gettimeofday ();
-      }
-    in
-    Engine.start engine;
-    stop_ref :=
-      (fun () ->
-        Atomic.set t.draining true;
-        wake_listener t);
-    t
-  in
-  let th =
-    Thread.create
-      (fun () ->
-        (* A setup failure (say, a bad socket path) must surface in the
-           caller, not deadlock it waiting for readiness. *)
-        match setup () with
-        | exception e -> signal_started (Some e)
-        | t ->
-          signal_started None;
-          accept_loop t;
-          drain t)
-      ()
-  in
-  Mutex.lock started;
-  while not !ready do
-    Condition.wait started_c started
-  done;
-  let err = !failed in
-  Mutex.unlock started;
-  match err with
-  | Some e ->
-    Thread.join th;
-    raise e
-  | None ->
-    fun () ->
-      !stop_ref ();
-      Thread.join th
+  Frontend.run_background (local config corpus)

@@ -1,44 +1,32 @@
-(** The [ephemeral serve] process: listener, per-connection reader
-    threads, the {!Engine} behind them, and the graceful-drain state
-    machine (DESIGN.md §15).
+(** The single-process [ephemeral serve]: the {!Frontend} over a local
+    backend — one {!Engine} in this process answers every query op
+    (DESIGN.md §15).  Its drain hooks flush every admitted job through
+    {!Engine.drain} before connections are shut down, and hand the
+    engine's final tallies to the ledger. *)
 
-    Drain: the first SIGTERM/SIGINT (via
-    {!Fault.Shutdown.set_graceful}) flips an atomic and wakes the
-    accept thread, which stops accepting, flushes every admitted job
-    through {!Engine.drain}, shuts down surviving connections, joins
-    their threads, publishes the run ledger atomically, unlinks the
-    socket, and returns — so the process exits 0.  A second signal
-    takes the immediate exit-130/143 path. *)
-
-type address = Unix_path of string | Tcp of string * int
-
-val parse_address : string -> (address, string) result
-(** ["tcp:HOST:PORT"] is TCP; anything else is a Unix socket path. *)
-
-val address_to_string : address -> string
+type address = Frontend.address = Unix_path of string | Tcp of string * int
 
 type config = {
   address : address;
   read_timeout_s : float;  (** per-frame deadline on connection reads *)
-  max_conns : int;
-      (** connection-table bound; an over-limit accept is answered
-          with one [Resource_exhausted] frame and closed *)
   engine : Engine.config;
   ledger_path : string option;  (** published atomically on drain *)
-  install_signals : bool;
-      (** arm {!Fault.Shutdown.set_graceful}; off for in-process tests *)
-  announce : out_channel option;
-      (** where the ["READY <address>"] line goes once listening *)
 }
 
 val default_config : config
 
 val run : ?config:config -> Corpus.t -> unit
-(** Bind, announce, serve until drained.  Blocks; returns after a
-    complete drain (the caller should then exit 0). *)
+(** Bind, arm the graceful-shutdown signal, print ["READY <address>"],
+    serve until drained.  Blocks; returns after a complete drain (the
+    caller should then exit 0). *)
 
 val run_background : ?config:config -> Corpus.t -> unit -> unit
-(** In-process server on a background thread (signals are never
-    installed, the announce line is suppressed).  Returns once the
-    listener is bound; the returned thunk initiates the drain and
+(** In-process server on a background thread (no signal handling, no
+    announce line).  Returns once the listener is bound — a bind
+    failure raises here; the returned thunk initiates the drain and
     joins — for tests and the bench harness. *)
+
+(**/**)
+
+(* Exposed for tests: the bound front-end over a started engine. *)
+val local : config -> Corpus.t -> unit Frontend.t

@@ -9,15 +9,19 @@
    makes crash-respawn identical to first spawn.
 
    Readiness is probed by PING over the shard's socket, not by parsing
-   child stdout — shards announce nothing, so the router's own READY
-   line is the only one the parent's supervisor (soak, CI scripts)
-   ever sees. *)
+   child stdout — a shard's stdout is discarded, so the router's own
+   READY line is the only one the parent's supervisor (soak, CI
+   scripts) ever sees. *)
 
 let socket_path base k = Printf.sprintf "%s.shard-%d" base k
 let ledger_path base k = Printf.sprintf "%s.shard-%d" base k
 
 let spawn argv =
-  Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close devnull)
+    (fun () ->
+      Unix.create_process argv.(0) argv Unix.stdin devnull Unix.stderr)
 
 (* Poll PING until the shard answers.  Connect failures (socket not
    bound yet, stale socket from a crashed predecessor) and non-PONG
@@ -28,7 +32,7 @@ let wait_ready ?(timeout_s = 10.) socket =
     if Unix.gettimeofday () >= deadline then
       Error (Printf.sprintf "shard on %s not ready after %.1fs" socket timeout_s)
     else
-      match Client.connect ~timeout_s:0.2 (Server.Unix_path socket) with
+      match Client.connect ~timeout_s:0.2 (Frontend.Unix_path socket) with
       | Error _ ->
         Thread.delay 0.02;
         loop ()

@@ -3,9 +3,8 @@
     A shard worker is the running binary re-exec'd as
     [ephemeral serve --shard-index K]: it loads only its
     {!Corpus.shard_of} partition of the manifest and listens on a
-    private socket.  Readiness is probed with PING — shards never
-    announce on stdout, so the router's READY line stays the only
-    one. *)
+    private socket.  Readiness is probed with PING — a shard's stdout
+    is discarded, so the router's READY line stays the only one. *)
 
 val socket_path : string -> int -> string
 (** [socket_path base k] = ["<base>.shard-<k>"], the private socket of
@@ -16,8 +15,9 @@ val ledger_path : string -> int -> string
     way. *)
 
 val spawn : string array -> int
-(** [create_process argv.(0) argv] with inherited stdio; returns the
-    pid.  Raises on exec failure (missing binary). *)
+(** [create_process argv.(0) argv] with inherited stdin/stderr and
+    stdout discarded; returns the pid.  Raises on exec failure
+    (missing binary). *)
 
 val wait_ready : ?timeout_s:float -> string -> (unit, string) result
 (** Poll PING on a shard socket until it answers or the window

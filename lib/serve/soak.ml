@@ -58,7 +58,7 @@ let manifest_lines ~n1 ~n2 ~seed =
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
-  address : Server.address;
+  address : Frontend.address;
   oracle : (string * int, int array) Hashtbl.t;
   instances : (string * int) list;  (* healthy: (id, n) *)
   kill_armed : bool;
@@ -593,7 +593,7 @@ let run ~exe ~dir ~seed ~quick ~fault_spec ~backend ~jobs ~shards =
     else begin
       let ctx =
         {
-          address = Server.Unix_path socket_path;
+          address = Frontend.Unix_path socket_path;
           oracle;
           instances;
           kill_armed;

@@ -188,9 +188,10 @@ let frame_oversized () =
 
 (* ------------------------------------------------------------------ *)
 (* Codec properties: encode∘decode = id over generated values, and no
-   truncation of a valid payload ever parses — the router forwards
-   unroutable bytes opaquely, so rejection behaviour is part of the
-   sharded byte-identity contract. *)
+   truncation of a valid payload ever parses — a payload that peeks an
+   instance reaches the backend (in sharded mode, the owning shard's
+   decoder), so rejection behaviour is part of the sharded
+   byte-identity contract. *)
 
 let gen_query =
   QCheck2.Gen.(
@@ -672,7 +673,7 @@ let router_stats_text_roundtrip () =
       p50_ms = 0.; p99_ms = 0.; qps = 0.; wall_s = 0.; shards = None;
     }
   in
-  (match Serve.Router.parse_stats_text (Serve.Router.render_stats_text v) with
+  (match Serve.Router.parse_stats_text (Serve.Ledger.render_stats_text v) with
   | Some v' ->
     check_bool "tallies survive the round-trip" true (v = v')
   | None -> Alcotest.fail "rendered stats must parse");
@@ -710,14 +711,14 @@ let router_merge_list_rows () =
 
 let router_snapshot_health () =
   check_string "all available is ok" "ok"
-    (Serve.Router.snapshot_health [ ("a", "available", "") ]);
+    (Serve.Frontend.health [ ("a", "available", "") ]);
   check_string "any failed is degraded" "degraded"
-    (Serve.Router.snapshot_health
+    (Serve.Frontend.health
        [ ("a", "available", ""); ("b", "failed", "x") ]);
   check_string "none available is unhealthy" "unhealthy"
-    (Serve.Router.snapshot_health [ ("b", "failed", "x") ]);
+    (Serve.Frontend.health [ ("b", "failed", "x") ]);
   check_string "empty snapshot is unhealthy" "unhealthy"
-    (Serve.Router.snapshot_health [])
+    (Serve.Frontend.health [])
 
 (* ------------------------------------------------------------------ *)
 (* Live server over a Unix socket *)
@@ -731,7 +732,6 @@ let with_server ?(manifest = [ "id=t,family=path,n=7,seed=5"; "id=broken,family=
       let ledger = Filename.concat dir "ledger.json" in
       let config =
         {
-          Server.default_config with
           Server.address;
           ledger_path = Some ledger;
           read_timeout_s = 5.;
@@ -839,6 +839,112 @@ let server_backend_byte_identical () =
   check_string "dense and implicit sessions byte-identical"
     (session Sim.Backend.Dense)
     (session Sim.Backend.Implicit)
+
+(* One raw request frame, one raw reply frame: the exact bytes. *)
+let raw_call address payload =
+  let c = expect_ok (Client.connect ~timeout_s:5. address) in
+  Fun.protect
+    ~finally:(fun () -> Client.close c)
+    (fun () ->
+      Proto.write_frame (Client.fd c) payload;
+      match Proto.read_frame ~deadline_s:5. (Client.fd c) with
+      | Proto.Frame bytes -> bytes
+      | _ -> Alcotest.fail "no reply frame")
+
+(* An unroutable payload (unknown opcode, query too short to carry an
+   instance id) is answered by the front-end's own decoder: a backend
+   whose shards are all down must not turn it into Unavailable.  The
+   stub stands in for such a backend and records any query call. *)
+let frontend_unroutable_never_reaches_backend () =
+  let payloads =
+    [ ("\xee", Proto.Unknown_op); ("\x10\x00", Proto.Parse_error) ]
+  in
+  let single =
+    let out = ref [] in
+    with_server (fun _ address _ ->
+        out := List.map (fun (p, _) -> raw_call address p) payloads);
+    !out
+  in
+  with_tmp_dir (fun dir ->
+      Store.Fsio.ensure_dir dir;
+      let called = Atomic.make false in
+      let tallies () = Serve.Ledger.merge_volatile [] ~shards:1 in
+      let backend =
+        {
+          Serve.Frontend.kind = Sim.Backend.Dense;
+          queue_max = 1;
+          rows = (fun () -> [ ("t", "failed", "shard unavailable") ]);
+          open_conn = ignore;
+          close_conn = ignore;
+          query =
+            (fun () _ _ ->
+              Atomic.set called true;
+              "");
+          stats = (fun () -> tallies ());
+          quiesce = ignore;
+          final = tallies;
+        }
+      in
+      let address = Server.Unix_path (Filename.concat dir "fe.sock") in
+      let fe =
+        Serve.Frontend.create ~address ~read_timeout_s:5. ~ledger_path:None
+          backend
+      in
+      let stop = Serve.Frontend.run_background fe in
+      Fun.protect ~finally:stop (fun () ->
+          List.iter2
+            (fun (payload, code) expected ->
+              let got = raw_call address payload in
+              check_string
+                (Printf.sprintf "%S: single-process bytes" payload)
+                expected got;
+              match Proto.decode_response got with
+              | Stdlib.Ok (Proto.Error (c, _)) ->
+                check_string "typed error code"
+                  (Proto.error_code_to_string code)
+                  (Proto.error_code_to_string c)
+              | _ -> Alcotest.fail "unroutable payload must answer an error")
+            payloads single;
+          check_bool "backend query never called" false (Atomic.get called)))
+
+(* The connection table holds live connections only: a long-running
+   server must not keep a handle per connection it ever accepted. *)
+let server_conn_table_drains () =
+  with_tmp_dir (fun dir ->
+      Store.Fsio.ensure_dir dir;
+      let corpus =
+        Corpus.load ~backend:Sim.Backend.Implicit
+          [ "id=t,family=path,n=7,seed=5" ]
+      in
+      let address = Server.Unix_path (Filename.concat dir "srv.sock") in
+      let fe =
+        Server.local { Server.default_config with Server.address } corpus
+      in
+      let stop = Serve.Frontend.run_background fe in
+      Fun.protect ~finally:stop (fun () ->
+          let ping c =
+            match expect_ok (Client.call c Proto.Ping) with
+            | Proto.Ok_empty -> ()
+            | _ -> Alcotest.fail "ping must answer Ok_empty"
+          in
+          let held = expect_ok (Client.connect ~timeout_s:5. address) in
+          ping held;
+          check_int "one open connection is live" 1
+            (Serve.Frontend.live_conns fe);
+          Client.close held;
+          for _ = 1 to 50 do
+            let c = expect_ok (Client.connect ~timeout_s:5. address) in
+            ping c;
+            Client.close c
+          done;
+          let deadline = Unix.gettimeofday () +. 5. in
+          while
+            Serve.Frontend.live_conns fe > 0 && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.01
+          done;
+          check_int "closed connections leave the table" 0
+            (Serve.Frontend.live_conns fe)))
 
 (* ------------------------------------------------------------------ *)
 (* Fault.Retry: deterministic jitter and the wall-time budget *)
@@ -1022,6 +1128,10 @@ let suites =
         case "drain publishes ledger" server_drain_publishes_ledger;
         case "ledger contents" server_ledger_contents;
         case "backend byte-identical sessions" server_backend_byte_identical;
+        case "unroutable payload answered by the front-end"
+          frontend_unroutable_never_reaches_backend;
+        case "connection table holds live connections only"
+          server_conn_table_drains;
       ] );
     ( "serve.retry",
       [
