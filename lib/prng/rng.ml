@@ -15,24 +15,25 @@ let split t =
 
 let split_n t k = Array.init k (fun _ -> split t)
 
+(* Rejection sampling on the top 62 bits: [limit] is the largest
+   multiple of [bound] not above [max_int] (= 2^62 - 1), values at or
+   past it are redrawn, so [v mod bound] is exactly uniform.  Immediate
+   ints throughout, so a draw allocates nothing. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let range = Int64.of_int bound in
-  let top = Int64.div 0x3FFF_FFFF_FFFF_FFFFL range in
-  let limit = Int64.mul top range in
-  let rec draw () =
-    let v = Int64.shift_right_logical (bits64 t) 2 in
-    if v < limit then Int64.to_int (Int64.rem v range) else draw ()
-  in
-  draw ()
+  let limit = max_int / bound * bound in
+  let v = ref (Xoshiro256.next_top62 t) in
+  while !v >= limit do
+    v := Xoshiro256.next_top62 t
+  done;
+  !v mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t =
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1p-53
+(* [next_top62 t lsr 9] is [bits64 t >>> 11]: the top 53 bits. *)
+let float t = float_of_int (Xoshiro256.next_top62 t lsr 9) *. 0x1p-53 [@@inline]
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = float t < p

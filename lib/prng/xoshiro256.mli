@@ -5,7 +5,7 @@
     nearby integer seeds still give unrelated streams. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the four 64-bit words, kept unboxed. *)
 
 val create : int -> t
 (** [create seed] seeds the four state words from a SplitMix64 stream. *)
@@ -20,6 +20,13 @@ val copy : t -> t
 
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output. *)
+
+val next_top62 : t -> int
+(** [next_top62 t] is [Int64.to_int (Int64.shift_right_logical (next t) 2)]:
+    the top 62 bits of the next output as a non-negative immediate
+    [int] in [\[0, max_int\]].  It advances the state exactly as
+    {!next} does but allocates nothing: {!Rng.int}, {!Rng.float} and
+    {!Rng.bernoulli} draw through it. *)
 
 val jump : t -> unit
 (** [jump t] advances the state by 2{^128} steps — equivalent to discarding

@@ -29,9 +29,12 @@ let uniform_single_implicit rng g ~a = uniform_multi_implicit rng g ~a ~r:1
 let draw_multi rng ~r draw_one =
   Label.of_list (List.init r (fun _ -> draw_one rng))
 
+(* [r = 1] makes the same one draw per edge in the same order as
+   [uniform_single], so it takes the flat layout. *)
 let uniform_multi rng g ~a ~r =
   if r < 0 then invalid_arg "Assignment.uniform_multi: r must be >= 0";
-  of_fun g ~a (fun _ -> draw_multi rng ~r (fun rng -> 1 + Prng.Rng.int rng a))
+  if r = 1 then uniform_single rng g ~a
+  else of_fun g ~a (fun _ -> draw_multi rng ~r (fun rng -> 1 + Prng.Rng.int rng a))
 
 let of_dist rng dist g ~a ~r =
   if r < 0 then invalid_arg "Assignment.of_dist: r must be >= 0";

@@ -35,6 +35,9 @@ val uniform_multi : Prng.Rng.t -> Sgraph.Graph.t -> a:int -> r:int -> Tgraph.t
 (** Each edge gets [r] labels drawn i.i.d. uniform on [{1..a}].  Labels
     form a *set*, so collisions collapse (irrelevant for the paper's
     bounds, which only ever ask whether some label hits an interval).
+    With [r = 1] it is {!uniform_single} — the same draws in the same
+    order — and yields the flat single-label layout
+    ({!Tgraph.of_flat_arcs}), with no per-edge [Label.t].
     @raise Invalid_argument if [r < 0]. *)
 
 val of_dist :

@@ -41,15 +41,20 @@ type t = {
    each stream entry directly into its final slot.  O(M + a) and
    deterministic, versus the seed's O(M log M) closure-comparator sort
    with heapsort-arbitrary tie order and four permutation copies.
-   [iter_labels e f] must present each edge's labels in ascending order
-   (Label.t is sorted; Single is one label) so stability gives the
-   documented tie order. *)
-let build_stream g ~lifetime ~total ~iter_labels =
+   Edge [e] carries [size e] labels, [nth e i] being its [i]-th; they
+   must come in ascending order (Label.t is sorted; Single is one
+   label) so stability gives the documented tie order.  Inlined into
+   both callers, so the accessors build no closure per edge and the
+   sort allocates nothing but its four arrays. *)
+let[@inline] build_stream g ~lifetime ~total ~size ~nth =
   let directions = if Graph.is_directed g then 1 else 2 in
   let m = Graph.m g in
   let counts = Array.make (lifetime + 1) 0 in
   for e = 0 to m - 1 do
-    iter_labels e (fun l -> counts.(l) <- counts.(l) + directions)
+    for i = 0 to size e - 1 do
+      let l = nth e i in
+      counts.(l) <- counts.(l) + directions
+    done
   done;
   let sum = ref 0 in
   for l = 1 to lifetime do
@@ -63,19 +68,21 @@ let build_stream g ~lifetime ~total ~iter_labels =
   let te_label = Array.make total 0 in
   let te_edge = Array.make total 0 in
   Graph.iter_edges g (fun e u v ->
-      iter_labels e (fun l ->
-          let pos = counts.(l) in
-          counts.(l) <- pos + directions;
-          te_src.(pos) <- u;
-          te_dst.(pos) <- v;
-          te_label.(pos) <- l;
-          te_edge.(pos) <- e;
-          if directions = 2 then begin
-            te_src.(pos + 1) <- v;
-            te_dst.(pos + 1) <- u;
-            te_label.(pos + 1) <- l;
-            te_edge.(pos + 1) <- e
-          end));
+      for i = 0 to size e - 1 do
+        let l = nth e i in
+        let pos = counts.(l) in
+        counts.(l) <- pos + directions;
+        te_src.(pos) <- u;
+        te_dst.(pos) <- v;
+        te_label.(pos) <- l;
+        te_edge.(pos) <- e;
+        if directions = 2 then begin
+          te_src.(pos + 1) <- v;
+          te_dst.(pos + 1) <- u;
+          te_label.(pos + 1) <- l;
+          te_edge.(pos + 1) <- e
+        end
+      done);
   Full { te_src; te_dst; te_label; te_edge }
 
 let create g ~lifetime labels =
@@ -91,8 +98,9 @@ let create g ~lifetime labels =
   let total = ref 0 in
   Array.iter (fun ls -> total := !total + (directions * Label.size ls)) labels;
   let stream_rep =
-    build_stream g ~lifetime ~total:!total ~iter_labels:(fun e f ->
-        Array.iter f (labels.(e) :> int array))
+    build_stream g ~lifetime ~total:!total
+      ~size:(fun e -> Label.size labels.(e))
+      ~nth:(fun e i -> (labels.(e) :> int array).(i))
   in
   { graph = g; lifetime; labelling = Sets labels; stream_rep }
 
@@ -110,7 +118,7 @@ let of_flat_arcs g ~lifetime label =
   let directions = if Graph.is_directed g then 1 else 2 in
   let total = directions * Graph.m g in
   let stream_rep =
-    build_stream g ~lifetime ~total ~iter_labels:(fun e f -> f label.(e))
+    build_stream g ~lifetime ~total ~size:(fun _ -> 1) ~nth:(fun e _ -> label.(e))
   in
   { graph = g; lifetime; labelling = Single label; stream_rep }
 

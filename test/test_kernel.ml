@@ -194,6 +194,38 @@ let of_flat_arcs_matches_create =
              = Foremost.arrival_array (Foremost.run by_sets s))
            (List.init n Fun.id))
 
+(* [uniform_multi ~r:1] must be [uniform_single]: run on copies of one
+   stream, both give the same stream arrays, labels and label count,
+   and leave their rngs at the same point.  The same draws boxed into
+   singleton sets ([Sets] layout) must give the same stream too, which
+   pins the shared stream builder on both layouts. *)
+let uniform_multi_r1_is_single =
+  qcase ~count:100 ~print:print_single_params
+    "uniform_multi ~r:1 = uniform_single" gen_single_params
+    (fun (n, seed, a) ->
+      List.for_all
+        (fun g ->
+          let rng = Rng.create seed in
+          let rng_multi = Rng.copy rng and rng_single = Rng.copy rng in
+          let multi = Assignment.uniform_multi rng_multi g ~a ~r:1 in
+          let single = Assignment.uniform_single rng_single g ~a in
+          let boxed =
+            Assignment.of_fun g ~a (fun _ -> Label.singleton (1 + Rng.int rng a))
+          in
+          let edges = List.init (Graph.m g) Fun.id in
+          Tgraph.stream multi = Tgraph.stream single
+          && Tgraph.stream multi = Tgraph.stream boxed
+          && Tgraph.label_count multi = Tgraph.label_count single
+          && List.for_all
+               (fun e ->
+                 Label.to_list (Tgraph.labels multi e)
+                 = Label.to_list (Tgraph.labels single e))
+               edges
+          &&
+          let next = Rng.bits64 rng_multi in
+          next = Rng.bits64 rng_single && next = Rng.bits64 rng)
+        [ Sgraph.Gen.clique Graph.Directed n; random_graph ~n ~seed ])
+
 let of_flat_arcs_validates () =
   let g = Sgraph.Gen.path 3 in
   Alcotest.check_raises "lifetime"
@@ -329,6 +361,7 @@ let suites =
     ( "kernel.single-label",
       [
         of_flat_arcs_matches_create;
+        uniform_multi_r1_is_single;
         case "of_flat_arcs validations" of_flat_arcs_validates;
         scalar_queries_match_label_sets;
       ] );

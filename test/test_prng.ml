@@ -211,6 +211,121 @@ let rng_copy_replays () =
   done
 
 (* --------------------------------------------------------------- *)
+(* Reference vectors: literals recorded from the boxed-int64 generator
+   and the Int64 rejection sampler, so a change to the state layout or
+   the draw arithmetic that moves a single output fails here. *)
+
+let xoshiro_reference_outputs () =
+  let x = Prng.Xoshiro256.of_state 1L 2L 3L 4L in
+  List.iter
+    (fun expected ->
+      Alcotest.(check int64) "next" expected (Prng.Xoshiro256.next x))
+    [ 0x0000000000002D00L; 0x0000000000000000L; 0x000000005A007080L;
+      0x10E0000000009D80L; 0x10E0B61CE1009D80L; 0x0870021CE143AD00L;
+      0xE071C3C2E143F089L; 0x75A1690EF7A20380L ]
+
+let xoshiro_reference_jump () =
+  let x = Prng.Xoshiro256.of_state 1L 2L 3L 4L in
+  Prng.Xoshiro256.jump x;
+  List.iter
+    (fun expected ->
+      Alcotest.(check int64) "next after jump" expected (Prng.Xoshiro256.next x))
+    [ 0xBBD2F312298443D8L; 0x62E57DB2D5706577L; 0x34D1890374A6D72BL;
+      0xA0425028CA8B66A0L ]
+
+let xoshiro_top62_is_shifted_next () =
+  let a = Prng.Xoshiro256.create 11 in
+  let b = Prng.Xoshiro256.copy a in
+  for _ = 1 to 1000 do
+    check_int "top 62 bits"
+      (Int64.to_int (Int64.shift_right_logical (Prng.Xoshiro256.next a) 2))
+      (Prng.Xoshiro256.next_top62 b)
+  done
+
+(* Four draws per bound, in this order, from one [Rng.create 7] stream. *)
+let rng_int_reference () =
+  let g = Rng.create 7 in
+  List.iter
+    (fun (bound, expected) ->
+      List.iter
+        (fun e -> check_int (Printf.sprintf "int bound %d" bound) e (Rng.int g bound))
+        expected)
+    [ (1, [ 0; 0; 0; 0 ]);
+      (2, [ 0; 0; 1; 1 ]);
+      (7, [ 6; 4; 3; 3 ]);
+      (512, [ 116; 133; 430; 146 ]);
+      (2048, [ 1903; 1127; 1358; 235 ]);
+      (1 lsl 40, [ 628653570782; 304992418987; 718665906767; 337587167850 ]);
+      ( (1 lsl 61) + 12345,
+        [ 593817715809498456; 188696664511578872; 809367683062927938;
+          2212402123716314391 ] );
+      ( max_int,
+        [ 403862553435877753; 632207907611505462; 3797506159036556396;
+          4539839599659455563 ] ) ]
+
+let rng_float_reference () =
+  let g = Rng.create 7 in
+  List.iter
+    (fun expected -> Alcotest.(check (float 0.)) "float" expected (Rng.float g))
+    [ 0x1.66b1f5ee9df2ep-1; 0x1.1d70f6593d20ap-2; 0x1.ade3a6932a58fp-1;
+      0x1.f65270e63d00ep-1 ]
+
+let rng_bernoulli_reference () =
+  let g = Rng.create 7 in
+  List.iter
+    (fun expected -> check_bool "bernoulli 0.3" expected (Rng.bernoulli g 0.3))
+    [ false; true; false; false; false; false; true; true;
+      false; true; false; false; false; false; false; false ]
+
+(* The Int64 formulation [Rng.int] replaced, kept as the reference:
+   the top 62 bits of [bits64] against the largest multiple of the
+   bound not above 2^62 - 1. *)
+let reference_int t bound =
+  let range = Int64.of_int bound in
+  let limit = Int64.mul (Int64.div 0x3FFF_FFFF_FFFF_FFFFL range) range in
+  let rec draw () =
+    let v = Int64.shift_right_logical (Rng.bits64 t) 2 in
+    if v < limit then Int64.to_int (Int64.rem v range) else draw ()
+  in
+  draw ()
+
+let reference_float t =
+  Int64.to_float (Int64.shift_right_logical (Rng.bits64 t) 11) *. 0x1p-53
+
+let rng_int_matches_int64_reference =
+  let bound =
+    QCheck2.Gen.(
+      oneof
+        [ int_range 1 1000;
+          map (fun k -> 1 lsl k) (int_range 0 61);
+          map (fun k -> max_int - k) (int_range 0 1000);
+          map (fun k -> (1 lsl 61) + k) (int_range 0 100_000);
+          int_range 1 max_int ])
+  in
+  qcase "rng int = Int64 reference sampler"
+    ~print:(fun (seed, bound) -> Printf.sprintf "(seed=%d, bound=%d)" seed bound)
+    QCheck2.Gen.(pair (int_range 0 10_000) bound)
+    (fun (seed, bound) ->
+      let a = Rng.create seed in
+      let b = Rng.copy a in
+      let same = ref true in
+      for _ = 1 to 64 do
+        if Rng.int a bound <> reference_int b bound then same := false
+      done;
+      (* Same number of underlying draws: the streams stay in step. *)
+      !same && Rng.bits64 a = Rng.bits64 b)
+
+let rng_float_matches_int64_reference =
+  qcase "rng float = Int64 reference" ~print:string_of_int
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let a = Rng.create seed in
+      let b = Rng.copy a in
+      List.for_all
+        (fun _ -> Int64.bits_of_float (Rng.float a) = Int64.bits_of_float (reference_float b))
+        (List.init 64 Fun.id))
+
+(* --------------------------------------------------------------- *)
 (* Sample *)
 
 let sorted_copy a =
@@ -403,6 +518,17 @@ let suites =
         case "rng split_n" rng_split_n;
         split_n_interleaving_independent;
         case "rng copy replays" rng_copy_replays;
+      ] );
+    ( "prng.reference",
+      [
+        case "xoshiro outputs from (1,2,3,4)" xoshiro_reference_outputs;
+        case "xoshiro outputs after jump" xoshiro_reference_jump;
+        case "xoshiro next_top62 = next >>> 2" xoshiro_top62_is_shifted_next;
+        case "rng int vectors" rng_int_reference;
+        case "rng float vectors" rng_float_reference;
+        case "rng bernoulli vectors" rng_bernoulli_reference;
+        rng_int_matches_int64_reference;
+        rng_float_matches_int64_reference;
       ] );
     ( "prng.sample",
       [
