@@ -49,7 +49,7 @@ type opts = {
    --no-* flag; selecting any section turns every other one off. *)
 let sections =
   [
-    "tables"; "speedup"; "store"; "faults"; "implicit"; "batch"; "serve";
+    "implicit"; "tables"; "speedup"; "store"; "faults"; "batch"; "serve";
     "serve-sharded"; "kernel"; "micro";
   ]
 
@@ -74,8 +74,8 @@ let usage_lines =
     "                 skip part 2h (sharded serve: qps scale-out at";
     "                 1/2/4 shard workers, real binary, oracle-checked)";
     "  --no-micro     skip part 3 (Bechamel micro-benchmarks)";
-    "  --only S       run section S alone (repeatable; tables, speedup,";
-    "                 store, faults, implicit, batch, serve, serve-sharded,";
+    "  --only S       run section S alone (repeatable; implicit, tables,";
+    "                 speedup, store, faults, batch, serve, serve-sharded,";
     "                 kernel, micro).  BENCH_clique.json is written by the";
     "                 kernel section, so pair data sections with it if the";
     "                 JSON is wanted.";
@@ -425,16 +425,17 @@ let run_batch_bench () =
    temporal diameter.  The implicit leg keeps the instance lazy
    (arithmetic topology, labels rolled on demand behind the prefix
    stream); the dense leg materializes the same instance (CSR clique,
-   stored label array, full counting-sorted stream) first.  Identical
-   seeds per trial, so the diameters must agree — the backend
-   equivalence oracle, run as a bench.
+   stored label array, prefix stream over it) first.  Identical seeds
+   per trial, so the diameters must agree — the backend equivalence
+   oracle, run as a bench.
 
-   Peak RSS comes from /proc/self/status VmHWM, which is a monotone
-   high-water mark for the whole process: the implicit leg therefore
-   runs FIRST, so its reading bounds the implicit working set, and
-   the dense leg's (higher) reading shows what materialization adds
-   on top.  On hosts without procfs both read 0 and only the timing
-   rows are meaningful. *)
+   Peak RSS comes from /proc/self/status VmHWM, a high-water mark for
+   the whole process, so each leg runs in a forked child of its own
+   that reports its time, its diameter and its own VmHWM on a pipe —
+   two children per size, one at a time.  OCaml 5 refuses Unix.fork
+   once a domain has been spawned, so this section runs before any
+   other (the children spawn their own pools).  On hosts without
+   procfs both legs read 0 and only the timing rows are meaningful. *)
 
 type backend_point = {
   ib_n : int;
@@ -467,6 +468,53 @@ let peak_rss_kb () =
     close_in ic;
     v
 
+(* One leg at one size in a forked child, which writes back
+   "DIAMETER NS_PER_TRIAL VMHWM_KB" (diameter -1 = disconnected). *)
+let fork_backend_leg leg n =
+  let trials = if quick then 2 else 3 in
+  let instance g = Assignment.uniform_single_implicit (Rng.create 409) g ~a:n in
+  let trial =
+    match leg with
+    | `Implicit ->
+      fun () ->
+        Distance.instance_diameter
+          (instance (Sgraph.Gen.clique_implicit Directed n))
+    | `Dense ->
+      fun () ->
+        Distance.instance_diameter
+          (Tgraph.materialize (instance (Sgraph.Gen.clique Directed n)))
+  in
+  flush_all ();
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    (* Spans from the child would interleave with the parent's in a
+       shared trace file. *)
+    Obs.Control.set_enabled false;
+    let code =
+      try
+        let out, ns, _ = measure ~trials trial in
+        let line =
+          Printf.sprintf "%d %.0f %d\n" (Option.value out ~default:(-1)) ns
+            (peak_rss_kb ())
+        in
+        ignore (Unix.write_substring w line 0 (String.length line));
+        0
+      with _ -> 1
+    in
+    Unix._exit code
+  | pid ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let line = In_channel.input_line ic in
+    close_in ic;
+    (match (snd (Unix.waitpid [] pid), line) with
+    | Unix.WEXITED 0, Some line ->
+      Scanf.sscanf line "%d %f %d" (fun d ns hwm ->
+          ((if d < 0 then None else Some d), ns, hwm))
+    | _ -> failwith (Printf.sprintf "bench: backend leg at n=%d failed" n))
+
 let run_implicit_bench () =
   print_endline
     "=================================================================";
@@ -476,25 +524,8 @@ let run_implicit_bench () =
     "=================================================================";
   List.iter
     (fun n ->
-      let trials = if quick then 2 else 3 in
-      let seed = 409 in
-      let impl_out, impl_ns, _ =
-        measure ~trials (fun () ->
-            let rng = Rng.create seed in
-            let g = Sgraph.Gen.clique_implicit Directed n in
-            Distance.instance_diameter
-              (Assignment.uniform_single_implicit rng g ~a:n))
-      in
-      let impl_hwm = peak_rss_kb () in
-      let dense_out, dense_ns, _ =
-        measure ~trials (fun () ->
-            let rng = Rng.create seed in
-            let g = Sgraph.Gen.clique Directed n in
-            Distance.instance_diameter
-              (Tgraph.materialize
-                 (Assignment.uniform_single_implicit rng g ~a:n)))
-      in
-      let dense_hwm = peak_rss_kb () in
+      let impl_out, impl_ns, impl_hwm = fork_backend_leg `Implicit n in
+      let dense_out, dense_ns, dense_hwm = fork_backend_leg `Dense n in
       let agree = impl_out = dense_out in
       let ratio = dense_ns /. Float.max 1. impl_ns in
       Printf.printf
@@ -503,7 +534,7 @@ let run_implicit_bench () =
         n dense_ns impl_ns ratio
         (if agree then "yes" else "NO (BUG)");
       Printf.printf
-        "           peak RSS after implicit leg %d KiB, after dense leg %d KiB\n"
+        "           peak RSS: implicit leg %d KiB, dense leg %d KiB\n"
         impl_hwm dense_hwm;
       backend_points :=
         {
@@ -1270,14 +1301,13 @@ let () =
   if opts.metrics || Option.is_some sink then Obs.Control.set_enabled true;
   Option.iter Exec.Pool.set_jobs opts.jobs;
   Sim.Backend.set opts.backend;
+  (* Backend comparison first: it forks, and OCaml 5 refuses Unix.fork
+     once any section has spawned a pool domain. *)
+  if not opts.no_implicit then run_implicit_bench ();
   if not opts.no_tables then run_tables ();
   if not opts.no_speedup then run_speedup ();
   if not opts.no_store then run_store_bench ();
   if not opts.no_faults then run_fault_soak ();
-  (* Backend comparison first: peak RSS is read from VmHWM, a
-     process-lifetime high-water mark, so the implicit legs must run
-     before anything that materializes a large dense instance. *)
-  if not opts.no_implicit then run_implicit_bench ();
   if not opts.no_batch then run_batch_bench ();
   if not opts.no_serve then run_serve_bench ();
   if not opts.no_serve_sharded then run_serve_sharded_bench ();

@@ -1,20 +1,27 @@
 module Graph = Sgraph.Graph
 
-(* The derived time-edge stream, materialized lazily as a label-bounded
+(* The time-edge stream, materialized lazily as a label-bounded
    *prefix*.  A view with [bound = B] holds exactly the entries whose
-   label is <= B, in the same order the dense counting-sorted stream
-   would hold them: label ascending, ties in emission order (edge id
-   ascending, u->v before v->u).  Because the sort is stable and the
-   emission order is fixed, the view for bound B is a byte prefix of
-   the view for bound 2B — so kernels that exhaust a view keep their
-   stream indices (arrival predecessors, scan positions) and continue
-   exactly where they stopped after an {!extend}.
+   label is <= B, in counting-sort order: label ascending, ties in
+   emission order (edge id ascending, labels of one edge ascending,
+   u->v before v->u).  Because that order is fixed, the view for bound
+   B is a byte prefix of the view for bound 2B — so kernels that
+   exhaust a view keep their stream indices (arrival predecessors, scan
+   positions) and continue exactly where they stopped after an
+   {!extend}.
+
+   Every label layout goes through here.  A [Rolled] source (derived
+   labels) recomputes its rolls per band; a [Flat] or [Sets] source
+   reads stored labels, and its per-label histogram — counted by the
+   caller in the same pass that validates the labels — fixes every
+   entry's final position up front.
 
    On the normalized U-RTN clique the temporal diameter is
    Theta(log n), so sweeps only ever consume labels up to O(log n) out
    of a lifetime of n: the prefix holds ~ m * B / a entries — O(n log n)
-   for the clique — while the dense stream would hold all m * r.  That
-   ratio is the whole point of the backend.
+   for the clique — while the whole stream holds all m * r.  That ratio
+   is the whole point: at n = 512 the first band (B = 64) is an eighth
+   of the stream and usually the only one a diameter sweep reads.
 
    Concurrency: views are immutable and published through an [Atomic]
    (release/acquire), so readers never lock.  Builders serialize on a
@@ -23,6 +30,11 @@ module Graph = Sgraph.Graph
    lifetime) is built exactly once per instance no matter how many
    domains race — keeping the [implicit.label_rolls] probe identical at
    any [--jobs]. *)
+
+type source =
+  | Rolled of Labels.t
+  | Flat of { label : int array; histogram : int array }
+  | Sets of { labels : int array array; histogram : int array }
 
 type view = {
   bound : int;  (* every entry with label <= bound is present *)
@@ -35,22 +47,43 @@ type view = {
 
 type t = {
   graph : Graph.t;
-  labels : Labels.t;
+  source : source;
   lifetime : int;
   initial_bound : int;
+  (* Stored sources: [offsets.(l)] is the stream position of the first
+     entry with label [l], for [l] in [1 .. lifetime + 1]; so
+     [offsets.(b + 1)] is the length of the view with bound [b].  Empty
+     on a [Rolled] source, whose entry count is never computed. *)
+  offsets : int array;
   cur : view Atomic.t;
   lock : Mutex.t;
 }
 
 let default_initial_bound = 64
 
-let create graph ~labels ~lifetime =
+let offsets_of_histogram ~lifetime histogram =
+  if Array.length histogram <> lifetime + 1 then
+    invalid_arg "Implicit.Stream.create: histogram length must be lifetime + 1";
+  let offsets = Array.make (lifetime + 2) 0 in
+  for l = 1 to lifetime do
+    offsets.(l + 1) <- offsets.(l) + histogram.(l)
+  done;
+  offsets
+
+let create graph source ~lifetime =
   if lifetime < 1 then invalid_arg "Implicit.Stream.create: lifetime < 1";
+  let offsets =
+    match source with
+    | Rolled _ -> [||]
+    | Flat { histogram; _ } | Sets { histogram; _ } ->
+      offsets_of_histogram ~lifetime histogram
+  in
   {
     graph;
-    labels;
+    source;
     lifetime;
     initial_bound = Stdlib.min lifetime default_initial_bound;
+    offsets;
     cur =
       Atomic.make
         {
@@ -64,12 +97,14 @@ let create graph ~labels ~lifetime =
     lock = Mutex.create ();
   }
 
-let graph t = t.graph
-let labels t = t.labels
-let lifetime t = t.lifetime
 let view t = Atomic.get t.cur
 
-(* Growable quad buffer for one collect pass. *)
+let length t =
+  match t.source with
+  | Rolled _ -> None
+  | Flat _ | Sets _ -> Some t.offsets.(t.lifetime + 1)
+
+(* Growable quad buffer for one rolled collect pass. *)
 type buf = {
   mutable len : int;
   mutable src : int array;
@@ -94,28 +129,28 @@ let buf_push b u v l e =
   b.edg.(b.len) <- e;
   b.len <- b.len + 1
 
-(* One roll pass over all edges, keeping entries with lo < label <= hi
-   in emission order, then a stable counting sort by label appended
-   onto [prev]'s arrays.  All labels in the band exceed [prev.bound],
-   so old arrays + sorted band is exactly the stream prefix for
-   [hi]. *)
-let build_band t (prev : view) ~hi =
+(* Rolled band: one roll pass over all edges, keeping entries with
+   lo < label <= hi in emission order, then a stable counting sort by
+   label appended onto [prev]'s arrays.  All labels in the band exceed
+   [prev.bound], so old arrays + sorted band is exactly the stream
+   prefix for [hi]. *)
+let build_rolled_band t labels (prev : view) ~hi =
   let lo = prev.bound in
   let g = t.graph in
   let undirected = not (Graph.is_directed g) in
-  let r = Labels.rolls_per_edge t.labels in
+  let r = Labels.rolls_per_edge labels in
   let scratch = Array.make r 0 in
   let b = { len = 0; src = [||]; dst = [||]; lab = [||]; edg = [||] } in
   Graph.iter_edges g (fun e u v ->
       if r = 1 then begin
-        let l = Labels.roll t.labels ~edge:e ~k:0 in
+        let l = Labels.roll labels ~edge:e ~k:0 in
         if l > lo && l <= hi then begin
           buf_push b u v l e;
           if undirected then buf_push b v u l e
         end
       end
       else begin
-        let cnt = Labels.fill_sorted t.labels ~edge:e scratch in
+        let cnt = Labels.fill_sorted labels ~edge:e scratch in
         for j = 0 to cnt - 1 do
           let l = scratch.(j) in
           if l > lo && l <= hi then begin
@@ -156,15 +191,74 @@ let build_band t (prev : view) ~hi =
   done;
   { bound = hi; complete = hi >= t.lifetime; te_src; te_dst; te_label; te_edge }
 
+(* Stored band: the histogram already fixed every entry's position, so
+   the arrays are allocated at their exact final length, the old
+   prefix is blitted in, and one pass over the edges scatters each
+   label in (lo, hi] to its slot through a per-label cursor. *)
+let build_stored_band t (prev : view) ~hi =
+  let lo = prev.bound in
+  let old_len = Array.length prev.te_label in
+  let len = t.offsets.(hi + 1) in
+  let extendarr old =
+    let a = Array.make len 0 in
+    Array.blit old 0 a 0 old_len;
+    a
+  in
+  let te_src = extendarr prev.te_src in
+  let te_dst = extendarr prev.te_dst in
+  let te_label = extendarr prev.te_label in
+  let te_edge = extendarr prev.te_edge in
+  (* [next.(l - lo)]: where the next entry with label l goes. *)
+  let next = Array.sub t.offsets lo (hi - lo + 1) in
+  let undirected = not (Graph.is_directed t.graph) in
+  let[@inline] put e u v l =
+    if l > lo && l <= hi then begin
+      let pos = next.(l - lo) in
+      te_src.(pos) <- u;
+      te_dst.(pos) <- v;
+      te_label.(pos) <- l;
+      te_edge.(pos) <- e;
+      if undirected then begin
+        te_src.(pos + 1) <- v;
+        te_dst.(pos + 1) <- u;
+        te_label.(pos + 1) <- l;
+        te_edge.(pos + 1) <- e;
+        next.(l - lo) <- pos + 2
+      end
+      else next.(l - lo) <- pos + 1
+    end
+  in
+  (match t.source with
+  | Flat { label; _ } -> Graph.iter_edges t.graph (fun e u v -> put e u v label.(e))
+  | Sets { labels; _ } ->
+    (* Labels are ascending: stop at the first one past the band, so
+       the bands of a sweep that runs to the end visit O(M) labels in
+       all, not O(M) each. *)
+    Graph.iter_edges t.graph (fun e u v ->
+        let ls = labels.(e) in
+        let j = ref 0 in
+        while !j < Array.length ls && ls.(!j) <= hi do
+          put e u v ls.(!j);
+          incr j
+        done)
+  | Rolled _ -> assert false);
+  { bound = hi; complete = hi >= t.lifetime; te_src; te_dst; te_label; te_edge }
+
+let build_band t prev ~hi =
+  match t.source with
+  | Rolled labels -> build_rolled_band t labels prev ~hi
+  | Flat _ | Sets _ -> build_stored_band t prev ~hi
+
+let with_lock t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
 let extend t ~past =
   let v = Atomic.get t.cur in
   if v.bound > past then true
   else if v.complete then false
   else begin
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
+    with_lock t (fun () ->
         (* Re-check under the lock: another domain may have published a
            deeper prefix while we waited.  Each schedule step is built
            at most once per instance. *)
@@ -185,12 +279,8 @@ let extend t ~past =
   end
 
 let force_complete t =
-  let rec go () =
-    let v = Atomic.get t.cur in
-    if not v.complete then begin
-      ignore (extend t ~past:v.bound);
-      go ()
-    end
-  in
-  go ();
+  if not (Atomic.get t.cur).complete then
+    with_lock t (fun () ->
+        let v = Atomic.get t.cur in
+        if not v.complete then Atomic.set t.cur (build_band t v ~hi:t.lifetime));
   Atomic.get t.cur

@@ -1,8 +1,8 @@
 (* Which temporal-instance representation the suite builds: dense
-   (materialized label arrays and a full counting-sorted stream — the
-   original backend) or implicit (derived labels recomputed from a
-   64-bit seed, lazy prefix streams — O(n) working set on the
-   normalized clique instead of O(n^2)).
+   (materialized label arrays — the original backend) or implicit
+   (derived labels recomputed from a 64-bit seed — O(n) working set on
+   the normalized clique instead of O(n^2)).  Both grow their
+   time-edge stream as a lazy label-bounded prefix.
 
    The selection is a process-wide mode, set once from the CLI before
    any experiment runs; experiments consult it when they build

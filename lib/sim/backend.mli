@@ -1,9 +1,9 @@
 (** Process-wide choice of temporal-instance representation.
 
-    [Dense] stores per-edge label arrays and the full counting-sorted
-    time-edge stream; [Implicit] keeps only [(seed, topology, a, r)]
-    and recomputes labels on demand behind a lazy prefix stream
-    ({!Temporal.Tgraph.of_derived}).  For the same seed the two
+    [Dense] stores per-edge label arrays; [Implicit] keeps only
+    [(seed, topology, a, r)] and recomputes labels on demand
+    ({!Temporal.Tgraph.of_derived}).  Both build the time-edge stream
+    as a lazy label-bounded prefix.  For the same seed the two
     realise label-identical instances, so every statistic agrees
     byte-for-byte — the backend trades memory and time, never
     numbers.

@@ -53,16 +53,18 @@ let run ~quick ~seed =
     sizes;
   let notes =
     [
-      "ns/time-edge should stay roughly flat: the foremost sweep is O(M) \
-       over the flat stream built once by Tgraph.create's O(M + a) \
-       counting sort, so doubling n quadruples M and the sweep time \
-       together";
+      "ns/time-edge divides by the whole stream M, but a sweep reads \
+       only a prefix of it: the constructor validates and counts the \
+       labels, the stream is built on first use as a label-bounded \
+       prefix (labels <= 64 first, doubling on demand), and the \
+       foremost sweep stops after the Theta(log n) label groups that \
+       reach every vertex, so the figure falls as n grows";
       "all-pairs TD = ceil(n/W) bit-parallel batch sweeps (W = \
        Batch.lane_width sources share one word per vertex), so the n \
        scalar sweeps of the old kernel collapse by a factor ~W while \
-       staying bit-identical; construction (counting sort + CSR \
-       crossings) dominates single queries, which is why the API builds \
-       the stream once and reuses it";
+       staying bit-identical; construction (label draws and the first \
+       prefix band) dominates single queries, which is why an instance \
+       keeps the prefix it built for every later sweep";
       "unlike every other table, these numbers are timings (median wall \
        time on the monotonic clock): shapes are stable, absolute values \
        move with the machine";

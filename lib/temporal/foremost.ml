@@ -20,12 +20,11 @@ type result = {
    as the normalized U-RTN clique this skips almost the entire
    stream.
 
-   The pass scans {!Tgraph.stream_prefix}, not {!Tgraph.stream}: on
-   dense networks the prefix is the whole stream and the outer loop
-   runs once; on implicit ones an exhausted prefix is extended and the
-   scan resumes at the same index (prefixes are byte-stable), so the
-   entries visited — and hence every probe — are identical to what the
-   dense stream would have produced.  An extension is requested only
+   The pass scans {!Tgraph.stream_prefix}, not {!Tgraph.stream}: an
+   exhausted prefix is extended and the scan resumes at the same index
+   (prefixes are byte-stable), so the entries visited — and hence
+   every probe — are identical to what a scan of the whole stream
+   would have produced.  An extension is requested only
    while it can still matter: some vertex unreached, or the arrival
    bound strictly beyond what the prefix already covers. *)
 (* Kernel probes, updated once per sweep after the hot loop (never
@@ -96,14 +95,15 @@ let sweep net ~start_time ~s ~arrival ~pred =
       end
       else begin
         finished := true;
-        (* A dense prefix is the whole stream, so ending exactly at its
-           end is exhaustion (the historical [i = total] rule).  An
-           implicit sweep that stops at a prefix edge counts as early:
-           racing builders may have published a deeper view than this
-           sweep consumed, so any rule reading the view here would be
-           jobs-dependent — and the probe must stay byte-identical at
-           any --jobs. *)
-        exhausted := not (Tgraph.is_implicit net)
+        (* Exhaustion means "scanned the whole stream to its end",
+           judged against the full time-edge count — known from the
+           labels on a dense layout, without building the rest.  An
+           implicit sweep that stops at a prefix edge counts as early.
+           Neither rule reads the published view: racing builders may
+           have made it deeper than this sweep consumed, and the probe
+           must stay byte-identical at any --jobs. *)
+        exhausted :=
+          (not (Tgraph.is_implicit net)) && !i = Tgraph.time_edge_count net
       end
     end
   done;

@@ -14,113 +14,65 @@ type labelling =
   | Single of int array
   | Derived of Implicit.Labels.t
 
-(* The time-edge stream, counting-sorted by label (stable: ties keep
-   emission order — edge id ascending, u->v before v->u).  [Full] holds
-   the whole stream in four parallel arrays; [Lazy] holds a
-   label-bounded prefix that grows on demand and is always a byte
-   prefix of what [Full] would hold, so kernels written against
-   {!stream_prefix}/{!stream_extend} behave identically on both. *)
-type stream_rep =
-  | Full of {
-      te_src : int array;
-      te_dst : int array;
-      te_label : int array;
-      te_edge : int array;
-    }
-  | Lazy of Implicit.Stream.t
-
+(* The time-edge stream is one {!Implicit.Stream} whatever the
+   layout: a label-bounded prefix (counting-sort order — label
+   ascending, ties in emission order: edge id ascending, u->v before
+   v->u) that grows when a kernel asks for more.  Sweeps on the
+   normalized U-RTN clique read only the first few label groups, so an
+   instance never builds the part of its stream no kernel reads. *)
 type t = {
   graph : Graph.t;
   lifetime : int;
   labelling : labelling;
-  stream_rep : stream_rep;
+  stream : Implicit.Stream.t;
 }
 
-(* Counting sort by label: one pass to histogram labels 1..lifetime,
-   a prefix sum for bucket offsets, then a second emission pass writing
-   each stream entry directly into its final slot.  O(M + a) and
-   deterministic, versus the seed's O(M log M) closure-comparator sort
-   with heapsort-arbitrary tie order and four permutation copies.
-   Edge [e] carries [size e] labels, [nth e i] being its [i]-th; they
-   must come in ascending order (Label.t is sorted; Single is one
-   label) so stability gives the documented tie order.  Inlined into
-   both callers, so the accessors build no closure per edge and the
-   sort allocates nothing but its four arrays. *)
-let[@inline] build_stream g ~lifetime ~total ~size ~nth =
-  let directions = if Graph.is_directed g then 1 else 2 in
-  let m = Graph.m g in
-  let counts = Array.make (lifetime + 1) 0 in
-  for e = 0 to m - 1 do
-    for i = 0 to size e - 1 do
-      let l = nth e i in
-      counts.(l) <- counts.(l) + directions
-    done
-  done;
-  let sum = ref 0 in
-  for l = 1 to lifetime do
-    let c = counts.(l) in
-    counts.(l) <- !sum;
-    sum := !sum + c
-  done;
-  assert (!sum = total);
-  let te_src = Array.make total 0 in
-  let te_dst = Array.make total 0 in
-  let te_label = Array.make total 0 in
-  let te_edge = Array.make total 0 in
-  Graph.iter_edges g (fun e u v ->
-      for i = 0 to size e - 1 do
-        let l = nth e i in
-        let pos = counts.(l) in
-        counts.(l) <- pos + directions;
-        te_src.(pos) <- u;
-        te_dst.(pos) <- v;
-        te_label.(pos) <- l;
-        te_edge.(pos) <- e;
-        if directions = 2 then begin
-          te_src.(pos + 1) <- v;
-          te_dst.(pos + 1) <- u;
-          te_label.(pos + 1) <- l;
-          te_edge.(pos + 1) <- e
-        end
-      done);
-  Full { te_src; te_dst; te_label; te_edge }
-
+(* The dense constructors validate the labels and count the per-label
+   histogram in one pass; the stream sizes every band from it. *)
 let create g ~lifetime labels =
   if lifetime <= 0 then invalid_arg "Tgraph.create: lifetime must be positive";
   if Array.length labels <> Graph.m g then
     invalid_arg "Tgraph.create: one label set per edge required";
+  let directions = if Graph.is_directed g then 1 else 2 in
+  let histogram = Array.make (lifetime + 1) 0 in
   Array.iter
     (fun ls ->
       if not (Label.within_lifetime ls lifetime) then
-        invalid_arg "Tgraph.create: label beyond the lifetime")
+        invalid_arg "Tgraph.create: label beyond the lifetime";
+      let ls = (ls :> int array) in
+      for i = 0 to Array.length ls - 1 do
+        histogram.(ls.(i)) <- histogram.(ls.(i)) + directions
+      done)
     labels;
-  let directions = if Graph.is_directed g then 1 else 2 in
-  let total = ref 0 in
-  Array.iter (fun ls -> total := !total + (directions * Label.size ls)) labels;
-  let stream_rep =
-    build_stream g ~lifetime ~total:!total
-      ~size:(fun e -> Label.size labels.(e))
-      ~nth:(fun e i -> (labels.(e) :> int array).(i))
-  in
-  { graph = g; lifetime; labelling = Sets labels; stream_rep }
+  let stored = Array.map (fun (ls : Label.t) -> (ls :> int array)) labels in
+  {
+    graph = g;
+    lifetime;
+    labelling = Sets labels;
+    stream =
+      Implicit.Stream.create g (Sets { labels = stored; histogram }) ~lifetime;
+  }
 
 let of_flat_arcs g ~lifetime label =
   if lifetime <= 0 then
     invalid_arg "Tgraph.of_flat_arcs: lifetime must be positive";
   if Array.length label <> Graph.m g then
     invalid_arg "Tgraph.of_flat_arcs: one label per edge required";
+  let directions = if Graph.is_directed g then 1 else 2 in
+  let histogram = Array.make (lifetime + 1) 0 in
   Array.iter
     (fun l ->
       if l < 1 then invalid_arg "Tgraph.of_flat_arcs: labels must be positive";
       if l > lifetime then
-        invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime")
+        invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime";
+      histogram.(l) <- histogram.(l) + directions)
     label;
-  let directions = if Graph.is_directed g then 1 else 2 in
-  let total = directions * Graph.m g in
-  let stream_rep =
-    build_stream g ~lifetime ~total ~size:(fun _ -> 1) ~nth:(fun e _ -> label.(e))
-  in
-  { graph = g; lifetime; labelling = Single label; stream_rep }
+  {
+    graph = g;
+    lifetime;
+    labelling = Single label;
+    stream = Implicit.Stream.create g (Flat { label; histogram }) ~lifetime;
+  }
 
 let of_derived g ~a ~seed ~r =
   let labels = Implicit.Labels.make ~seed ~a ~r in
@@ -128,17 +80,18 @@ let of_derived g ~a ~seed ~r =
     graph = g;
     lifetime = a;
     labelling = Derived labels;
-    stream_rep = Lazy (Implicit.Stream.create g ~labels ~lifetime:a);
+    stream = Implicit.Stream.create g (Rolled labels) ~lifetime:a;
   }
 
 let is_implicit t =
-  match t.stream_rep with Full _ -> false | Lazy _ -> true
+  match t.labelling with Derived _ -> true | Sets _ | Single _ -> false
 
 (* Re-rolling every site of a derived instance yields, by the
    site-independence of [Implicit.Labels.roll], exactly the label
-   arrays the dense constructors would have been given — so the stream
-   built here is byte-identical to any prefix the [Lazy] form ever
-   publishes (same stable sort over the same emission order).  This is
+   arrays the dense constructors would have been given — so every
+   prefix of the twin's stream is byte-identical to the derived
+   stream's prefix at the same bound (same order over the same
+   entries).  This is
    the dense twin used by the equivalence oracle and by the [dense]
    backend of the scale experiment. *)
 let materialize t =
@@ -202,61 +155,50 @@ let materialized_error fn =
         instance first"
        fn)
 
+(* The whole-stream accessors: a stored layout counts its stream off
+   the histogram and builds the rest of it in one band on demand; a
+   derived one refuses, since completing it is the O(m·r) cost the
+   backend exists to avoid. *)
+let whole_stream fn t =
+  match t.labelling with
+  | Derived _ -> materialized_error fn
+  | Sets _ | Single _ -> Implicit.Stream.force_complete t.stream
+
 let time_edge_count t =
-  match t.stream_rep with
-  | Full s -> Array.length s.te_label
-  | Lazy _ -> materialized_error "time_edge_count"
+  match Implicit.Stream.length t.stream with
+  | Some len -> len
+  | None -> materialized_error "time_edge_count"
 
 let iter_time_edges t f =
-  match t.stream_rep with
-  | Full s ->
-    for i = 0 to Array.length s.te_label - 1 do
-      f ~src:s.te_src.(i) ~dst:s.te_dst.(i) ~label:s.te_label.(i)
-        ~edge:s.te_edge.(i)
-    done
-  | Lazy _ -> materialized_error "iter_time_edges"
+  let s = whole_stream "iter_time_edges" t in
+  for i = 0 to Array.length s.te_label - 1 do
+    f ~src:s.te_src.(i) ~dst:s.te_dst.(i) ~label:s.te_label.(i)
+      ~edge:s.te_edge.(i)
+  done
 
 let stream t =
-  match t.stream_rep with
-  | Full s -> (s.te_src, s.te_dst, s.te_label, s.te_edge)
-  | Lazy _ -> materialized_error "stream"
+  let s = whole_stream "stream" t in
+  (s.te_src, s.te_dst, s.te_label, s.te_edge)
 
-(* The prefix interface every sweep kernel scans.  On [Full] networks
-   the prefix is the whole stream and [stream_extend] is always false;
-   on [Lazy] ones the arrays grow (by replacement — grab them again
-   after an extend) while remaining byte prefixes of the full stream,
-   so resuming a scan at a saved index is always valid. *)
+(* The prefix interface every sweep kernel scans.  The arrays grow (by
+   replacement — grab them again after an extend) while remaining byte
+   prefixes of the whole stream, so resuming a scan at a saved index is
+   always valid. *)
 
 let stream_prefix t =
-  match t.stream_rep with
-  | Full s -> (s.te_src, s.te_dst, s.te_label, s.te_edge)
-  | Lazy st ->
-    let v = Implicit.Stream.view st in
-    (v.te_src, v.te_dst, v.te_label, v.te_edge)
+  let v = Implicit.Stream.view t.stream in
+  (v.te_src, v.te_dst, v.te_label, v.te_edge)
 
-let stream_prefix_bound t =
-  match t.stream_rep with
-  | Full _ -> t.lifetime
-  | Lazy st -> (Implicit.Stream.view st).bound
+let stream_prefix_bound t = (Implicit.Stream.view t.stream).bound
+let stream_complete t = (Implicit.Stream.view t.stream).complete
+let stream_extend t ~past = Implicit.Stream.extend t.stream ~past
 
-let stream_complete t =
-  match t.stream_rep with
-  | Full _ -> true
-  | Lazy st -> (Implicit.Stream.view st).complete
-
-let stream_extend t ~past =
-  match t.stream_rep with
-  | Full _ -> false
-  | Lazy st -> Implicit.Stream.extend st ~past
-
+(* Any index a kernel has already scanned is in the published prefix,
+   which only ever grows; a later one completes a dense stream. *)
 let time_edge t i =
-  match t.stream_rep with
-  | Full s -> (s.te_src.(i), s.te_dst.(i), s.te_label.(i))
-  | Lazy st ->
-    (* Valid for any index a kernel has already scanned: the published
-       prefix only ever grows. *)
-    let v = Implicit.Stream.view st in
-    (v.te_src.(i), v.te_dst.(i), v.te_label.(i))
+  let v = Implicit.Stream.view t.stream in
+  let v = if i < Array.length v.te_label then v else whole_stream "time_edge" t in
+  (v.te_src.(i), v.te_dst.(i), v.te_label.(i))
 
 (* ---------------------------------------------------------------- *)
 (* Per-edge label queries: the scalar kernel interface.  Each returns

@@ -1,12 +1,12 @@
 (** Temporal networks [G = (V, E, L)] (paper, Definition 1).
 
     A static graph plus a label assignment and a lifetime [a] (the network
-    is ephemeral: no label exceeds [a]).  Construction builds the
+    is ephemeral: no label exceeds [a]).  The sweep kernels scan the
     *time-edge* stream — every [(u, v, l)] triple with [l ∈ L_{(u,v)}],
-    both directions for undirected edges — with a stable counting sort by
-    label (O(M + a), no comparator), which is what makes foremost-journey
-    computation a single linear sweep.  Ties within a label are in edge-id
-    order, [u→v] before [v→u], deterministically.
+    both directions for undirected edges — in counting-sort order: label
+    ascending, ties in edge-id order, [u→v] before [v→u],
+    deterministically.  That order is what makes foremost-journey
+    computation a single linear sweep.
 
     The stream and the crossing tables are flat int arrays (the crossing
     table is the adjacency of the underlying graph: arcs carry edge
@@ -14,16 +14,24 @@
     iterators and scalar per-edge label queries below; the tuple/[Label.t]
     accessors allocate per call and exist for convenience and tests.
 
+    {b One prefix stream.}  Every network holds its stream as one
+    {!Implicit.Stream}: a label-bounded prefix that grows when a kernel
+    asks for more ({!stream_prefix}/{!stream_extend}).  Sweeps on the
+    normalized U-RTN clique read only the first few label groups, so
+    the rest is never built.  Construction validates the labels and
+    counts the per-label histogram in one pass; each band is then
+    written at its exact size.
+
     {b Backends.}  A network is either {e dense} — labels stored in
-    arrays, the full stream materialized at construction — or
-    {e implicit} ({!of_derived}): labels recomputed per query from
-    [(seed, edge, roll)], the stream materialized lazily as a growing
-    label-bounded prefix.  Both present the same interface; kernels
-    written against {!stream_prefix}/{!stream_extend} run unchanged on
-    either, and {!materialize} converts an implicit instance into its
-    byte-identical dense twin.  Only the whole-stream accessors
-    ({!stream}, {!iter_time_edges}, {!time_edge_count}) refuse implicit
-    networks, with an error that names the fix. *)
+    arrays ({!create}, {!of_flat_arcs}) — or {e implicit}
+    ({!of_derived}): labels recomputed per query from
+    [(seed, edge, roll)].  Both present the same interface, and
+    {!materialize} converts an implicit instance into its
+    byte-identical dense twin.  The whole-stream accessors ({!stream},
+    {!iter_time_edges}) complete a dense stream in one band on demand,
+    and {!time_edge_count} reads its length off the labels without
+    building anything; all three refuse implicit networks, with an
+    error that names the fix. *)
 
 type t
 
@@ -53,14 +61,14 @@ val of_derived : Sgraph.Graph.t -> a:int -> seed:int64 -> r:int -> t
 
 val materialize : t -> t
 (** The dense twin: the identity on dense networks; on an implicit one,
-    rolls every label once and builds the fully-materialized network —
-    byte-identical stream and labelling to what the dense constructors
-    produce for the same rolls.  Costs the O(m·r) memory the implicit
-    form exists to avoid; for tests, small instances, and consumers
-    that genuinely need the whole stream. *)
+    rolls every label once and stores them — the labelling the dense
+    constructors produce for the same rolls, whose stream matches the
+    implicit one prefix for prefix.  Costs the O(m·r) label memory the
+    implicit form exists to avoid; for tests, small instances, and
+    consumers that genuinely need the whole stream. *)
 
 val is_implicit : t -> bool
-(** True on {!of_derived} networks (lazily-materialized stream). *)
+(** True on {!of_derived} networks (derived labels). *)
 
 val graph : t -> Sgraph.Graph.t
 val lifetime : t -> int
@@ -79,35 +87,38 @@ val label_count : t -> int
 
 val time_edge_count : t -> int
 (** Number of directed time edges in the sweep stream (undirected edges
-    contribute both directions per label).
-    @raise Invalid_argument on implicit networks — the stream is never
-    fully materialized there; use {!materialize} first. *)
+    contribute both directions per label).  O(1) on dense networks:
+    read off the label histogram, nothing is built.
+    @raise Invalid_argument on implicit networks — their stream is
+    never counted whole; use {!materialize} first. *)
 
 val iter_time_edges : t -> (src:int -> dst:int -> label:int -> edge:int -> unit) -> unit
-(** Iterate the stream in non-decreasing label order.
+(** Iterate the whole stream in non-decreasing label order, completing
+    it first on a dense network.
     @raise Invalid_argument on implicit networks; use {!materialize}
     or the prefix interface. *)
 
 val time_edge : t -> int -> int * int * int
 (** [time_edge t i] is the [i]-th stream entry as [(src, dst, label)].
-    On implicit networks, valid for any index inside the current
-    prefix — in particular for every predecessor index a kernel has
-    produced. *)
+    Valid for any index inside the current prefix — in particular for
+    every predecessor index a kernel has produced; a later index
+    completes a dense stream and is refused on an implicit one. *)
 
 val stream : t -> int array * int array * int array * int array
-(** [(src, dst, label, edge)] — the four parallel stream arrays, borrowed
-    (do {e not} mutate), sorted by label.  The raw representation for
-    flat kernel loops such as the foremost sweep.
+(** [(src, dst, label, edge)] — the four parallel arrays of the whole
+    stream, borrowed (do {e not} mutate), sorted by label; a dense
+    network completes its stream in one band first.  Sweep kernels
+    scan {!stream_prefix} instead and build only what they read.
     @raise Invalid_argument on implicit networks; scan
     {!stream_prefix} / {!stream_extend} instead. *)
 
 (** {2 Prefix stream interface}
 
-    What sweep kernels scan.  On dense networks the prefix is the whole
-    stream and never extends; on implicit ones it is the entries with
-    label [<= stream_prefix_bound], a byte prefix of the full stream
-    that grows under {!stream_extend} — so a kernel that exhausts the
-    prefix re-grabs the arrays and resumes at its saved index. *)
+    What sweep kernels scan, on every network: the entries with label
+    [<= stream_prefix_bound], a byte prefix of the full stream that
+    grows under {!stream_extend} — so a kernel that exhausts the
+    prefix re-grabs the arrays and resumes at its saved index.  A fresh
+    network has built nothing (bound [0]). *)
 
 val stream_prefix : t -> int array * int array * int array * int array
 (** Current prefix arrays [(src, dst, label, edge)], borrowed.  Extends
@@ -115,16 +126,16 @@ val stream_prefix : t -> int array * int array * int array * int array
 
 val stream_prefix_bound : t -> int
 (** Every stream entry with label [<= stream_prefix_bound t] is in the
-    current prefix.  Equals [lifetime] on dense networks. *)
+    current prefix. *)
 
 val stream_complete : t -> bool
-(** Is the current prefix the whole stream?  Always true on dense. *)
+(** Is the current prefix the whole stream? *)
 
 val stream_extend : t -> past:int -> bool
 (** [stream_extend t ~past] ensures the prefix reaches strictly past
     label bound [past] (the bound of the view the caller exhausted).
     Returns [false] iff the stream is complete and holds nothing beyond
-    [past].  Always [false] on dense networks. *)
+    [past]. *)
 
 (** {2 Scalar per-edge label queries}
 

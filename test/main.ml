@@ -8,4 +8,4 @@ let () =
    @ Test_por.suites @ Test_taxonomy.suites @ Test_connectivity.suites @ Test_ops.suites
    @ Test_models.suites @ Test_crosschecks.suites @ Test_phonecall.suites @ Test_sim.suites
    @ Test_obs.suites @ Test_exec.suites @ Test_store.suites @ Test_fault.suites
-   @ Test_kernel.suites @ Test_batch.suites @ Test_implicit.suites @ Test_serve.suites)
+   @ Test_kernel.suites @ Test_batch.suites @ Test_implicit.suites @ Test_stream.suites @ Test_serve.suites)
