@@ -424,10 +424,10 @@ let run_batch_bench () =
    instance from a fresh 64-bit seed and compute its exact all-pairs
    temporal diameter.  The implicit leg keeps the instance lazy
    (arithmetic topology, labels rolled on demand behind the prefix
-   stream); the dense leg materializes the same instance (CSR clique,
-   stored label array, prefix stream over it) first.  Identical seeds
-   per trial, so the diameters must agree — the backend equivalence
-   oracle, run as a bench.
+   stream); the dense leg materializes the same instance (same
+   arithmetic clique, stored label array, prefix stream over it)
+   first.  Identical seeds per trial, so the diameters must agree —
+   the backend equivalence oracle, run as a bench.
 
    Peak RSS comes from /proc/self/status VmHWM, a high-water mark for
    the whole process, so each leg runs in a forked child of its own
@@ -478,7 +478,7 @@ let fork_backend_leg leg n =
     | `Implicit ->
       fun () ->
         Distance.instance_diameter
-          (instance (Sgraph.Gen.clique_implicit Directed n))
+          (instance (Sgraph.Gen.clique Directed n))
     | `Dense ->
       fun () ->
         Distance.instance_diameter

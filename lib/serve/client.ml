@@ -32,16 +32,21 @@ let close t =
 
 let fd t = t.fd
 
+let closed_by_server = "connection closed by server"
+
 let call ?(timeout_s = 30.) t request =
-  match Proto.write_frame t.fd (Proto.encode_request request) with
-  | exception e -> Error (Printf.sprintf "write: %s" (Printexc.to_string e))
-  | () -> (
-    match Proto.read_frame ~deadline_s:timeout_s t.fd with
-    | Proto.Frame payload -> (
-      match Proto.decode_response payload with
-      | Ok r -> Ok r
-      | Error m -> Error (Printf.sprintf "protocol violation: %s" m))
-    | Proto.Eof -> Error "connection closed by server"
-    | Proto.Timeout -> Error "timed out waiting for reply"
-    | Proto.Oversized k ->
-      Error (Printf.sprintf "protocol violation: %d-byte reply frame" k))
+  match
+    Proto.write_frame t.fd (Proto.encode_request request);
+    Proto.read_frame ~deadline_s:timeout_s t.fd
+  with
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+    Error closed_by_server
+  | exception e -> Error (Printf.sprintf "transport: %s" (Printexc.to_string e))
+  | Proto.Frame payload -> (
+    match Proto.decode_response payload with
+    | Ok r -> Ok r
+    | Error m -> Error (Printf.sprintf "protocol violation: %s" m))
+  | Proto.Eof -> Error closed_by_server
+  | Proto.Timeout -> Error "timed out waiting for reply"
+  | Proto.Oversized k ->
+    Error (Printf.sprintf "protocol violation: %d-byte reply frame" k)

@@ -17,4 +17,8 @@ val fd : t -> Unix.file_descr
 val call :
   ?timeout_s:float -> t -> Proto.request -> (Proto.response, string) result
 (** One round trip.  [Error] covers transport failures and protocol
-    violations (undecodable reply, oversized frame). *)
+    violations (undecodable reply, oversized frame); a connection the
+    server dropped (EOF, or EPIPE/ECONNRESET once SIGPIPE is ignored)
+    is [Error closed_by_server]. *)
+
+val closed_by_server : string

@@ -215,23 +215,32 @@ let drop_link (links : links) k =
 let close_links (links : links) =
   Hashtbl.iter (fun _ fd -> try Unix.close fd with _ -> ()) links
 
-(* Forward one request payload to shard [k] and relay the raw reply
-   bytes.  Every failure mode answers a typed UNAVAILABLE — a dead
-   shard must never hang the client or leave it a torn frame. *)
+(* Forward one request payload over [fd], the link to shard [k], and
+   relay the raw reply bytes.  Every failure mode — a link reset
+   mid-reply included, which the read raises as ECONNRESET — answers a
+   typed UNAVAILABLE: a dead shard must never hang the client or leave
+   it a torn frame. *)
+let exchange links k fd payload =
+  match
+    Proto.write_frame fd payload;
+    Proto.read_frame ~deadline_s:shard_call_timeout_s fd
+  with
+  | Proto.Frame bytes -> bytes
+  | Proto.Eof | Proto.Timeout | Proto.Oversized _ | (exception _) ->
+    drop_link links k;
+    unavailable k
+
 let forward t links k payload =
   match link_fd t links k with
   | None -> unavailable k
-  | Some fd -> (
-    match Proto.write_frame fd payload with
-    | exception _ ->
-      drop_link links k;
-      unavailable k
-    | () -> (
-      match Proto.read_frame ~deadline_s:shard_call_timeout_s fd with
-      | Proto.Frame bytes -> bytes
-      | Proto.Eof | Proto.Timeout | Proto.Oversized _ ->
-        drop_link links k;
-        unavailable k))
+  | Some fd -> exchange links k fd payload
+
+let exchange_once fd payload =
+  let links : links = Hashtbl.create 1 in
+  Hashtbl.replace links 0 fd;
+  let reply = exchange links 0 fd payload in
+  close_links links;
+  reply
 
 (* One decoded round trip over a connection's link to shard [k]. *)
 let call t links k request =

@@ -51,6 +51,11 @@ val parse_stats_text : string -> Ledger.volatile option
 (**/**)
 
 (* Exposed for tests. *)
+val exchange_once : Unix.file_descr -> string -> string
+(** One forwarded request/reply over [fd] as the link to shard 0,
+    then the link is closed: the raw reply bytes, or an encoded
+    UNAVAILABLE on any link failure. *)
+
 val merge_list_rows :
   manifest_ids:string list ->
   (string * string * string) list list ->

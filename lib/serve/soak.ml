@@ -163,13 +163,21 @@ let checked_query ctx ~phase ~lenient ~draining client op q =
            (Proto.render_response resp)
            (Proto.render_response want)))
   | Error m ->
-    let clean_close = draining && m = "connection closed by server" in
+    let clean_close = draining && m = Client.closed_by_server in
     check ctx ~phase clean_close
       (Printf.sprintf "%s %s src=%d: transport: %s" (op_name op)
          q.Proto.instance q.Proto.source m)
 
 let q ?(target = 0) ?(deadline_ms = 0) instance source =
   { Proto.instance; source; target; deadline_ms }
+
+(* A raw write for the drop and slow-loris phases.  SIGPIPE is ignored,
+   so a server that closed first surfaces here as EPIPE/ECONNRESET: the
+   dropped connection those phases expect, which their next read sees
+   as EOF. *)
+let raw_write fd s =
+  try ignore (Unix.write_substring fd s 0 (String.length s))
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Phases *)
@@ -222,10 +230,12 @@ let phase_typed_errors ctx =
        must be typed and the connection must survive. *)
     let raw payload =
       let fd = Client.fd client in
-      Proto.write_frame fd payload;
-      match Proto.read_frame ~deadline_s:10. fd with
+      match
+        Proto.write_frame fd payload;
+        Proto.read_frame ~deadline_s:10. fd
+      with
       | Proto.Frame reply -> Proto.decode_response reply
-      | _ -> Stdlib.Error "no reply frame"
+      | _ | (exception Unix.Unix_error _) -> Stdlib.Error "no reply frame"
     in
     (match raw "\xee" with
     | Ok (Proto.Error (Proto.Unknown_op, _)) -> check ctx ~phase true ""
@@ -273,7 +283,7 @@ let phase_drops ctx =
   | Error m -> check ctx ~phase false ("connect: " ^ m)
   | Ok c ->
     let fd = Client.fd c in
-    ignore (Unix.write fd (Bytes.of_string "\x00\x00") 0 2);
+    raw_write fd "\x00\x00";
     Client.close c);
   ping_ok ctx ~phase "after half-header drop";
   (* A declared length with no payload, then close. *)
@@ -281,7 +291,7 @@ let phase_drops ctx =
   | Error m -> check ctx ~phase false ("connect: " ^ m)
   | Ok c ->
     let fd = Client.fd c in
-    ignore (Unix.write fd (Bytes.of_string "\x00\x00\x00\x08") 0 4);
+    raw_write fd "\x00\x00\x00\x08";
     Client.close c);
   ping_ok ctx ~phase "after headerless-payload drop";
   (* An oversized declaration: one Too_large frame, then closed. *)
@@ -289,7 +299,7 @@ let phase_drops ctx =
   | Error m -> check ctx ~phase false ("connect: " ^ m)
   | Ok c ->
     let fd = Client.fd c in
-    ignore (Unix.write fd (Bytes.of_string "\x7f\xff\xff\xff") 0 4);
+    raw_write fd "\x7f\xff\xff\xff";
     (match Proto.read_frame ~deadline_s:10. fd with
     | Proto.Frame reply -> (
       match Proto.decode_response reply with
@@ -309,17 +319,10 @@ let phase_slow_loris ctx =
   | Error m -> check ctx ~phase false ("connect: " ^ m)
   | Ok c ->
     let fd = Client.fd c in
-    let payload = Proto.encode_request Proto.Ping in
-    let len = String.length payload in
-    let hdr =
-      Bytes.of_string
-        (Printf.sprintf "%c%c%c%c"
-           (Char.chr ((len lsr 24) land 0xFF))
-           (Char.chr ((len lsr 16) land 0xFF))
-           (Char.chr ((len lsr 8) land 0xFF))
-           (Char.chr (len land 0xFF)))
-    in
-    ignore (Unix.write fd hdr 0 4);
+    let hdr = Bytes.create 4 in
+    Bytes.set_int32_be hdr 0
+      (Int32.of_int (String.length (Proto.encode_request Proto.Ping)));
+    raw_write fd (Bytes.to_string hdr);
     (* Trickle nothing past the header for longer than the read
        deadline; the server must close rather than hold the slot. *)
     let t0 = Unix.gettimeofday () in
@@ -522,6 +525,9 @@ let contains body needle =
   scan 0
 
 let run ~exe ~dir ~seed ~quick ~fault_spec ~backend ~jobs ~shards =
+  (* A write to a connection the server already closed must fail with
+     EPIPE, not kill the soak. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Store.Fsio.ensure_dir dir;
   (* A sharded soak arms the shard-kill site unless the caller's spec
      already decided the rate: crash-respawn must run under live

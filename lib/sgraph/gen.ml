@@ -27,33 +27,13 @@ let of_emitter kind ~n ~m emit =
 
 let clique kind n =
   if n < 1 then invalid_arg "Gen.clique: need n >= 1";
-  let m =
-    match kind with
-    | Graph.Directed -> n * (n - 1)
-    | Graph.Undirected -> n * (n - 1) / 2
-  in
-  of_emitter kind ~n ~m (fun push ->
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          let keep =
-            match kind with
-            | Graph.Directed -> u <> v
-            | Graph.Undirected -> u < v
-          in
-          if keep then push u v
-        done
-      done)
+  Graph.implicit_clique kind n
+
+let clique_implicit = clique
 
 let star n =
   if n < 2 then invalid_arg "Gen.star: need n >= 2";
-  Graph.create Undirected ~n (List.init (n - 1) (fun i -> (0, i + 1)))
-
-(* O(1)-memory twins of [clique]/[star]/[grid]: same vertex and edge
-   numbering, arithmetic adjacency instead of CSR arrays.  These are the
-   topologies the implicit temporal backend scales to n = 10^5..10^6. *)
-let clique_implicit kind n = Graph.implicit_clique kind n
-let star_implicit n = Graph.implicit_star n
-let grid_implicit rows cols = Graph.implicit_grid ~rows ~cols
+  Graph.implicit_star n
 
 let path n =
   if n < 1 then invalid_arg "Gen.path: need n >= 1";
@@ -75,15 +55,7 @@ let complete_bipartite a b =
 
 let grid rows cols =
   if rows < 1 || cols < 1 then invalid_arg "Gen.grid: empty grid";
-  let id r c = (r * cols) + c in
-  let m = (rows * (cols - 1)) + (cols * (rows - 1)) in
-  of_emitter Undirected ~n:(rows * cols) ~m (fun push ->
-      for r = 0 to rows - 1 do
-        for c = 0 to cols - 1 do
-          if c + 1 < cols then push (id r c) (id r (c + 1));
-          if r + 1 < rows then push (id r c) (id (r + 1) c)
-        done
-      done)
+  Graph.implicit_grid ~rows ~cols
 
 let hypercube d =
   if d < 1 then invalid_arg "Gen.hypercube: need d >= 1";

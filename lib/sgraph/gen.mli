@@ -6,24 +6,18 @@
 
 val clique : Graph.kind -> int -> Graph.t
 (** [clique kind n]: the complete graph [K_n]; directed means both arcs
-    [(u,v)] and [(v,u)] exist, as in the paper's §3 model.
+    [(u,v)] and [(v,u)] exist, as in the paper's §3 model.  This is the
+    arithmetic shape {!Graph.implicit_clique}, the clique's only form.
     @raise Invalid_argument if [n < 1]. *)
 
-val star : int -> Graph.t
-(** [star n]: undirected [K_{1,n-1}] with centre [0] (Theorem 6's graph).
-    @raise Invalid_argument if [n < 2]. *)
-
 val clique_implicit : Graph.kind -> int -> Graph.t
-(** [clique_implicit kind n]: {!clique} as an O(1)-memory implicit
-    shape — identical numbering, no CSR arrays.  See
-    {!Graph.implicit_clique}. *)
+(** [clique_implicit] is {!clique}.  Kept as an alias because the
+    benchmark harness in [perfbench/] names it. *)
 
-val star_implicit : int -> Graph.t
-(** [star_implicit n]: {!star} as an O(1)-memory implicit shape. *)
-
-val grid_implicit : int -> int -> Graph.t
-(** [grid_implicit rows cols]: {!grid} as an O(1)-memory implicit
-    shape. *)
+val star : int -> Graph.t
+(** [star n]: undirected [K_{1,n-1}] with centre [0] (Theorem 6's
+    graph): the arithmetic shape {!Graph.implicit_star}.
+    @raise Invalid_argument if [n < 2]. *)
 
 val path : int -> Graph.t
 (** [path n]: undirected path [0 - 1 - ... - n-1]. *)
@@ -36,7 +30,8 @@ val complete_bipartite : int -> int -> Graph.t
 
 val grid : int -> int -> Graph.t
 (** [grid rows cols]: undirected 2-d lattice, vertex [(r,c)] at
-    [r*cols + c]. *)
+    [r*cols + c]: the arithmetic shape {!Graph.implicit_grid}.
+    @raise Invalid_argument if either dimension is [< 1]. *)
 
 val hypercube : int -> Graph.t
 (** [hypercube d]: the [d]-dimensional binary hypercube on [2^d]

@@ -18,17 +18,14 @@ type csr = {
   in_vert : int array;  (* arc row -> source vertex *)
 }
 
-(* Besides the materialized CSR, a few regular topologies exist as
-   *shapes*: O(1)-memory values whose adjacency, edge ids and endpoint
-   decode are pure arithmetic on (n, rows, cols).  They replicate the
-   generator's edge numbering exactly — [Gen.of_emitter] reverses the
-   emission order, so edge id 0 is the LAST pair emitted — and their
-   iterators visit arcs in the same edge-id-ascending order the CSR
-   build produces.  That numbering is part of the output contract
-   (label assignments draw per edge id), so the shape and CSR forms of
-   the same topology are interchangeable everywhere, including under
-   derived-label (implicit backend) instances at n far beyond what a
-   CSR can materialize. *)
+(* Besides the materialized CSR, the clique, star and grid exist as
+   *shapes* — their only representation: O(1)-memory values whose
+   adjacency, edge ids and endpoint decode are pure arithmetic on
+   (n, rows, cols).  Their edge numbering is the contract label
+   assignments draw against: the emission orders below, reversed
+   (edge id 0 is the LAST pair emitted), as the historical list-built
+   generators numbered them.  Iterators visit arcs in
+   edge-id-ascending order, the order the CSR build appends them in. *)
 type shape =
   | Csr of csr
   | Clique of { transposed : bool }  (* directed unless t.kind says otherwise *)
@@ -55,7 +52,7 @@ let arc_count t =
   match t.kind with Directed -> m t | Undirected -> 2 * m t
 
 (* ---------------------------------------------------------------- *)
-(* Clique arithmetic.  Emission order (see Gen.clique): u ascending,
+(* Clique arithmetic.  Emission order: u ascending,
    v ascending (skipping u if directed, v > u if undirected); edge id
    e = m - 1 - k where k is the emission index. *)
 
@@ -89,7 +86,7 @@ let clique_und_endpoints ~n ~m e =
   (!u, !u + 1 + (k - clique_und_off ~n !u))
 
 (* ---------------------------------------------------------------- *)
-(* Grid arithmetic.  Emission order (see Gen.grid): per cell (r, c) in
+(* Grid arithmetic.  Emission order: per cell (r, c) in
    row-major order, the rightward edge then the downward edge.  A cell
    in a non-final row therefore owns 2 emission slots when c < cols-1
    (h then v) and 1 otherwise (v); final-row cells own 1 horizontal
@@ -235,8 +232,8 @@ let create kind ~n edges =
   build kind n (Array.map fst edges) (Array.map snd edges)
 
 (* ---------------------------------------------------------------- *)
-(* Shape constructors: same vertex/edge numbering as the corresponding
-   Gen generators, O(1) memory. *)
+(* Shape constructors: O(1) memory, numbered by the emission orders
+   above. *)
 
 let implicit_clique kind n =
   if n < 1 then invalid_arg "Graph.implicit_clique: need n >= 1";
@@ -249,8 +246,6 @@ let implicit_star n =
 let implicit_grid ~rows ~cols =
   if rows < 1 || cols < 1 then invalid_arg "Graph.implicit_grid: empty grid";
   { kind = Undirected; n = rows * cols; shape = Grid { rows; cols } }
-
-let is_implicit t = match t.shape with Csr _ -> false | _ -> true
 
 (* ---------------------------------------------------------------- *)
 
@@ -284,10 +279,16 @@ let iter_edges t f =
     let e = ref 0 in
     match t.kind with
     | Directed ->
+      (* Row u is v = n-1 .. u+1 then u-1 .. 0: split at u, no
+         per-edge branch. *)
+      let f = if transposed then fun e u v -> f e v u else f in
       for u = n - 1 downto 0 do
-        for j = n - 2 downto 0 do
-          let v = if j < u then j else j + 1 in
-          if transposed then f !e v u else f !e u v;
+        for v = n - 1 downto u + 1 do
+          f !e u v;
+          incr e
+        done;
+        for v = u - 1 downto 0 do
+          f !e u v;
           incr e
         done
       done

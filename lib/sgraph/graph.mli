@@ -8,20 +8,23 @@
     (paper §2).  Self-loops and parallel edges are rejected: neither
     occurs in any construction of the paper.
 
-    Adjacency is stored in CSR form (per-vertex offsets into flat int
-    arrays), so the non-allocating {!iter_out}/{!iter_in} scans are the
-    fast path; the tuple-array accessors {!out_arcs}/{!in_arcs} build a
-    fresh boxed copy per call and are kept for convenience and tests.
+    The clique, star and grid exist only as {e arithmetic shapes}
+    ({!implicit_clique}, {!implicit_star}, {!implicit_grid}; [Gen]
+    returns them): O(1)-memory values whose adjacency and edge-id
+    decode are closed forms, which lets derived-label temporal
+    instances scale past the CSR memory wall.  Their edge numbering is
+    the contract label assignments draw against.  Clique: pairs
+    emitted with [u] then [v] ascending ([v <> u] if directed, [v > u]
+    if undirected); grid: cells in row-major order, each emitting its
+    rightward then its downward edge; edge id 0 is the LAST pair
+    emitted.  Star: edge [i] is [(0, i+1)].  Iterators visit arcs in
+    edge-id-ascending order, as a CSR build does.
 
-    A few regular topologies also exist as {e implicit shapes}
-    ({!implicit_clique}, {!implicit_star}, {!implicit_grid}): O(1)-memory
-    values whose adjacency and edge-id decode are pure arithmetic.  They
-    use the exact vertex and edge numbering of the corresponding
-    {!Gen} generators and their iterators visit arcs in the same
-    edge-id-ascending order as the CSR build, so the two forms are
-    observationally identical — the implicit form just has no O(n + m)
-    arrays behind it, which is what lets derived-label temporal
-    instances scale past the CSR memory wall. *)
+    Every other graph stores its adjacency in CSR form (per-vertex
+    offsets into flat int arrays).  On either form the non-allocating
+    {!iter_out}/{!iter_in} scans are the fast path; the tuple-array
+    accessors {!out_arcs}/{!in_arcs} build a fresh boxed copy per call
+    and are kept for convenience and tests. *)
 
 type kind = Directed | Undirected
 
@@ -45,21 +48,18 @@ val of_arrays : kind -> n:int -> int array -> int array -> t
 
 val implicit_clique : kind -> int -> t
 (** [implicit_clique kind n] is the complete graph on [n] vertices as an
-    O(1)-memory shape, numbered exactly like [Gen.clique kind n].
+    O(1)-memory shape, numbered by the clique order above.
     @raise Invalid_argument if [n < 1]. *)
 
 val implicit_star : int -> t
 (** [implicit_star n] is the undirected star with centre [0] as an
-    O(1)-memory shape, numbered exactly like [Gen.star n].
+    O(1)-memory shape: edge [i] is [(0, i+1)].
     @raise Invalid_argument if [n < 2]. *)
 
 val implicit_grid : rows:int -> cols:int -> t
 (** [implicit_grid ~rows ~cols] is the undirected grid as an O(1)-memory
-    shape, numbered exactly like [Gen.grid rows cols].
+    shape, vertex [(r,c)] at [r*cols + c], numbered by the grid order.
     @raise Invalid_argument if either dimension is [< 1]. *)
-
-val is_implicit : t -> bool
-(** True when the graph is an arithmetic shape rather than a CSR. *)
 
 val kind : t -> kind
 val is_directed : t -> bool

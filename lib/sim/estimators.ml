@@ -51,18 +51,15 @@ let clique_temporal_diameter rng ~n ~a ~trials =
    (Implicit) or as its materialized dense twin (Dense).  Both arms
    see label-identical instances — Tgraph.materialize re-evaluates
    the same site function — so the resulting stats are byte-equal
-   across backends; only memory and time differ.  The topology
-   follows the backend too: an O(1) arithmetic clique vs the O(n^2)
-   CSR build (part of the dense cost being measured).  [sample]
-   switches the per-instance statistic from the exact all-pairs
-   diameter to a max over that many random sources (used only for
-   the XL row, where even ceil(n/W) full sweeps are too dear). *)
+   across backends; only memory and time differ.  The backend decides
+   how labels are stored, not the topology: both arms share the O(1)
+   arithmetic clique.  [sample] switches the per-instance statistic
+   from the exact all-pairs diameter to a max over that many random
+   sources (used only for the XL row, where even ceil(n/W) full sweeps
+   are too dear). *)
 let derived_clique_diameter rng ~n ~sample ~trials =
   let implicit_mode = Backend.current () = Backend.Implicit in
-  let g =
-    if implicit_mode then Sgraph.Gen.clique_implicit Directed n
-    else Sgraph.Gen.clique Directed n
-  in
+  let g = Sgraph.Gen.clique Directed n in
   diameter_stats_of ~trials
     (Runner.map rng ~trials (fun _ trial_rng ->
          let net = Assignment.uniform_single_implicit trial_rng g ~a:n in

@@ -1,4 +1,4 @@
-(* Implicit-backend suite: arithmetic shapes against their CSR twins,
+(* Implicit-backend suite: arithmetic shapes against a CSR reference,
    the QCheck equivalence oracle (derived-label instances byte-identical
    to their materialized twins across Foremost / reachability /
    diameter), prefix-stream completeness, boundary cases, the
@@ -13,69 +13,117 @@ open Temporal
 open Helpers
 
 (* ------------------------------------------------------------------ *)
-(* Topology: implicit shapes = CSR twins, observable by every accessor
-   a kernel uses. *)
+(* Topology: the generators' arithmetic shapes = a CSR built here from
+   the documented numbering, observable by every accessor a kernel
+   uses. *)
+
+(* Push the pairs in emission order and hand them to the trusted CSR
+   constructor — reversed, so edge id 0 is the last pair emitted, when
+   [reverse] (clique, grid); in emission order otherwise (star). *)
+let csr_of_emission kind ~n ~reverse emit =
+  let pairs = ref [] in
+  emit (fun u v -> pairs := (u, v) :: !pairs);
+  let pairs = Array.of_list (if reverse then !pairs else List.rev !pairs) in
+  Graph.of_arrays kind ~n (Array.map fst pairs) (Array.map snd pairs)
+
+(* u ascending, v ascending; v <> u if directed, v > u if undirected. *)
+let reference_clique kind n =
+  csr_of_emission kind ~n ~reverse:true (fun push ->
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          if (if kind = Graph.Directed then u <> v else u < v) then push u v
+        done
+      done)
+
+(* Edge i is (0, i+1). *)
+let reference_star n =
+  csr_of_emission Undirected ~n ~reverse:false (fun push ->
+      for i = 0 to n - 2 do
+        push 0 (i + 1)
+      done)
+
+(* Row-major cells, each emitting its right edge then its down edge. *)
+let reference_grid rows cols =
+  let cell r c = (r * cols) + c in
+  csr_of_emission Undirected ~n:(rows * cols) ~reverse:true (fun push ->
+      for r = 0 to rows - 1 do
+        for c = 0 to cols - 1 do
+          if c + 1 < cols then push (cell r c) (cell r (c + 1));
+          if r + 1 < rows then push (cell r c) (cell (r + 1) c)
+        done
+      done)
 
 let neighbors_of iter g v =
   let acc = ref [] in
   iter g v (fun e w -> acc := (e, w) :: !acc);
   List.rev !acc
 
-let check_same_graph name dense implicit =
-  check_int (name ^ ": n") (Graph.n dense) (Graph.n implicit);
-  check_int (name ^ ": m") (Graph.m dense) (Graph.m implicit);
-  check_bool (name ^ ": kind") true (Graph.kind dense = Graph.kind implicit);
-  check_bool (name ^ ": implicit flag") true (Graph.is_implicit implicit);
-  for e = 0 to Graph.m dense - 1 do
+let edges_of g =
+  let acc = ref [] in
+  Graph.iter_edges g (fun e u v -> acc := (e, u, v) :: !acc);
+  List.rev !acc
+
+let check_same_graph name reference shape =
+  check_int (name ^ ": n") (Graph.n reference) (Graph.n shape);
+  check_int (name ^ ": m") (Graph.m reference) (Graph.m shape);
+  check_bool (name ^ ": kind") true (Graph.kind reference = Graph.kind shape);
+  for e = 0 to Graph.m reference - 1 do
     check_bool
       (Printf.sprintf "%s: endpoints of edge %d" name e)
       true
-      (Graph.edge_endpoints dense e = Graph.edge_endpoints implicit e)
+      (Graph.edge_endpoints reference e = Graph.edge_endpoints shape e)
   done;
-  for v = 0 to Graph.n dense - 1 do
+  for v = 0 to Graph.n reference - 1 do
     check_bool
       (Printf.sprintf "%s: out arcs of %d" name v)
       true
-      (neighbors_of Graph.iter_out dense v
-      = neighbors_of Graph.iter_out implicit v);
+      (neighbors_of Graph.iter_out reference v
+      = neighbors_of Graph.iter_out shape v);
     check_bool
       (Printf.sprintf "%s: in arcs of %d" name v)
       true
-      (neighbors_of Graph.iter_in dense v
-      = neighbors_of Graph.iter_in implicit v)
+      (neighbors_of Graph.iter_in reference v
+      = neighbors_of Graph.iter_in shape v)
   done;
-  for u = 0 to Graph.n dense - 1 do
-    for v = 0 to Graph.n dense - 1 do
+  for u = 0 to Graph.n reference - 1 do
+    for v = 0 to Graph.n reference - 1 do
       check_int_option
         (Printf.sprintf "%s: find_edge %d %d" name u v)
-        (Graph.find_edge dense u v)
-        (Graph.find_edge implicit u v)
+        (Graph.find_edge reference u v)
+        (Graph.find_edge shape u v)
     done
   done;
-  let edges g =
-    let acc = ref [] in
-    Graph.iter_edges g (fun e u v -> acc := (e, u, v) :: !acc);
-    List.rev !acc
-  in
-  check_bool (name ^ ": iter_edges") true (edges dense = edges implicit);
-  let rd = Graph.reverse dense and ri = Graph.reverse implicit in
-  for v = 0 to Graph.n dense - 1 do
+  check_bool (name ^ ": iter_edges") true (edges_of reference = edges_of shape);
+  let rr = Graph.reverse reference and rs = Graph.reverse shape in
+  check_bool (name ^ ": reversed iter_edges") true (edges_of rr = edges_of rs);
+  for v = 0 to Graph.n reference - 1 do
     check_bool
       (Printf.sprintf "%s: reversed out arcs of %d" name v)
       true
-      (neighbors_of Graph.iter_out rd v = neighbors_of Graph.iter_out ri v)
+      (neighbors_of Graph.iter_out rr v = neighbors_of Graph.iter_out rs v)
   done
 
 let shapes_match_csr () =
-  check_same_graph "directed clique" (Gen.clique Directed 7)
-    (Gen.clique_implicit Directed 7);
-  check_same_graph "undirected clique" (Gen.clique Undirected 6)
-    (Gen.clique_implicit Undirected 6);
-  check_same_graph "star" (Gen.star 9) (Gen.star_implicit 9);
-  check_same_graph "grid" (Gen.grid 3 4) (Gen.grid_implicit 3 4);
-  check_same_graph "degenerate grid row" (Gen.grid 1 5) (Gen.grid_implicit 1 5);
-  check_same_graph "single vertex clique" (Gen.clique Directed 1)
-    (Gen.clique_implicit Directed 1)
+  List.iter
+    (fun n ->
+      check_same_graph
+        (Printf.sprintf "directed clique %d" n)
+        (reference_clique Directed n) (Gen.clique Directed n);
+      check_same_graph
+        (Printf.sprintf "undirected clique %d" n)
+        (reference_clique Undirected n) (Gen.clique Undirected n))
+    [ 1; 2; 6; 7 ];
+  List.iter
+    (fun n ->
+      check_same_graph (Printf.sprintf "star %d" n) (reference_star n)
+        (Gen.star n))
+    [ 2; 9 ];
+  List.iter
+    (fun (rows, cols) ->
+      check_same_graph
+        (Printf.sprintf "grid %dx%d" rows cols)
+        (reference_grid rows cols) (Gen.grid rows cols))
+    [ (3, 4); (4, 3); (1, 1); (1, 5); (5, 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* The equivalence oracle.  A derived instance and its materialized
@@ -99,9 +147,9 @@ let print_derived (n, seed, a, r, shape) =
 
 let graph_of_shape ~n ~seed = function
   | 0 -> random_graph ~n ~seed
-  | 1 -> Gen.clique_implicit Directed n
-  | 2 -> Gen.star_implicit n
-  | _ -> Gen.grid_implicit 2 ((n + 1) / 2)
+  | 1 -> Gen.clique Directed n
+  | 2 -> Gen.star n
+  | _ -> Gen.grid 2 ((n + 1) / 2)
 
 let derived_pair (n, seed, a, r, shape) =
   let g = graph_of_shape ~n ~seed shape in
@@ -240,7 +288,7 @@ let boundary_cases () =
     (Distance.instance_diameter one);
   (* n = 1: empty edge set, diameter of the single vertex. *)
   let solo =
-    Tgraph.of_derived (Gen.clique_implicit Directed 1) ~a:3 ~seed:9L ~r:1
+    Tgraph.of_derived (Gen.clique Directed 1) ~a:3 ~seed:9L ~r:1
   in
   check_int_option "n = 1: diameter" (Distance.instance_diameter
       (Tgraph.materialize solo))
@@ -258,7 +306,7 @@ let boundary_cases () =
    names the fix. *)
 let whole_stream_errors () =
   let net =
-    Tgraph.of_derived (Gen.clique_implicit Directed 5) ~a:5 ~seed:3L ~r:1
+    Tgraph.of_derived (Gen.clique Directed 5) ~a:5 ~seed:3L ~r:1
   in
   let expect_materialize_error name f =
     match f () with
@@ -314,7 +362,7 @@ let workspace_planes_sizing () =
   (* And the arrival-free consumers really do run on an instance of
      that character without touching the matrix. *)
   let net =
-    Tgraph.of_derived (Gen.clique_implicit Directed 128) ~a:128 ~seed:11L ~r:1
+    Tgraph.of_derived (Gen.clique Directed 128) ~a:128 ~seed:11L ~r:1
   in
   ignore (Distance.instance_diameter net);
   let ws = Workspace.get_batch_planes ~n in

@@ -709,6 +709,48 @@ let router_merge_list_rows () =
     [ ("x", "available", "first"); ("x", "failed", "second") ]
     merged_dup
 
+(* A shard link reset while the router waits for the reply must answer
+   a typed UNAVAILABLE rather than escape as a [Unix_error].  The stub
+   shard takes the request and resets the link: over TCP it reads the
+   whole frame and closes with SO_LINGER 0; over a Unix socket — the
+   transport shards use — it reads only the frame header and closes
+   with the payload unread, which the router's read sees as
+   ECONNRESET. *)
+let router_link_reset_unavailable () =
+  let expect_unavailable name link stub =
+    let server = Thread.create stub () in
+    let reply =
+      Serve.Router.exchange_once link
+        (Proto.encode_request
+           (Proto.Reach
+              { Proto.instance = "clq"; source = 0; target = 1; deadline_ms = 0 }))
+    in
+    Thread.join server;
+    match Proto.decode_response reply with
+    | Ok (Proto.Error (Proto.Unavailable, _)) -> ()
+    | Ok r ->
+      Alcotest.failf "%s: expected unavailable, got %s" name
+        (Proto.render_response r)
+    | Error e -> Alcotest.failf "%s: undecodable reply: %s" name e
+  in
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close listener)
+    (fun () ->
+      Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen listener 1;
+      let link = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect link (Unix.getsockname listener);
+      expect_unavailable "tcp reset" link (fun () ->
+          let fd, _ = Unix.accept listener in
+          ignore (Proto.read_frame ~deadline_s:5. fd);
+          Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+          Unix.close fd));
+  let link, shard = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  expect_unavailable "unix reset" link (fun () ->
+      ignore (Unix.read shard (Bytes.create 4) 0 4);
+      Unix.close shard)
+
 let router_snapshot_health () =
   check_string "all available is ok" "ok"
     (Serve.Frontend.health [ ("a", "available", "") ]);
@@ -1121,6 +1163,7 @@ let suites =
         case "stats text round-trip" router_stats_text_roundtrip;
         case "LIST merge" router_merge_list_rows;
         case "snapshot health" router_snapshot_health;
+        case "link reset answers unavailable" router_link_reset_unavailable;
       ] );
     ( "serve.server",
       [

@@ -74,10 +74,10 @@ let random_digraph ~n ~seed =
 let graph_of ~n ~seed = function
   | 0 -> random_graph ~n ~seed
   | 1 -> random_digraph ~n ~seed
-  | 2 -> Gen.clique_implicit Directed n
+  | 2 -> Gen.clique Directed n
   | 3 -> Gen.clique Undirected n
-  | 4 -> Gen.star_implicit (Stdlib.max 2 n)
-  | _ -> Gen.grid_implicit 2 ((n + 1) / 2)
+  | 4 -> Gen.star (Stdlib.max 2 n)
+  | _ -> Gen.grid 2 ((n + 1) / 2)
 
 (* One labelling drawn per case, presented in the chosen layout: the
    derived instance itself, its flat twin (r = 1 only: one label per
